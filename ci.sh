@@ -5,6 +5,10 @@ set -euo pipefail
 cd "$(dirname "$0")"
 
 cargo build --release --workspace
+# The benchmark harness is its own workspace over the library's public API;
+# building it here makes an API change that breaks it fail CI, not the
+# benchmark run.
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
 cargo test -q --workspace
 # The supervision layer's fault matrix, by name: a fast, loud signal when
 # only the fault-tolerance paths regress.
@@ -16,8 +20,7 @@ cargo test -q -p rsr-integration --test packed_equivalence
 # bit-identical to the sequential engine at every (threads, depth).
 cargo test -q -p rsr-integration --test pipeline_equivalence
 # The partitioned-reconstruction suite, by name: index-driven per-set
-# reverse scans must stay bit-identical to the sequential full scan at
-# every reconstruction worker count.
+# reverse scans must stay bit-identical to the sequential full scan.
 cargo test -q -p rsr-integration --test recon_partition
 # The sweep-engine suite, by name: every config of a one-cold-pass sweep
 # must stay bit-identical to its standalone run, and supervision must
@@ -131,7 +134,8 @@ if ./target/release/rsr bench --scale 0.05 --out target/BENCH_sample.smoke.json;
     echo "ci: hot-phase throughput ok: $smoke_hot MIPS (floor 1.5)"
   fi
 else
-  echo "ci: bench emission failed (non-fatal)"
+  echo "ci: bench emission failed"
+  exit 1
 fi
 
 # Sweep-smoke guard: a small sweep row must stay bit-identical to its
@@ -158,7 +162,8 @@ if ./target/release/rsr bench --scale 0.05 --sweep-smoke \
     echo "ci: sweep amortization ok: smoke wall_ratio $smoke_ratio (bound 0.9)"
   fi
 else
-  echo "ci: sweep emission failed (non-fatal)"
+  echo "ci: sweep emission failed"
+  exit 1
 fi
 
 # Sweep replay regression guard: replay the committed row's 20-config
@@ -192,7 +197,8 @@ if ./target/release/rsr bench --scale 0.05 --sweep-configs 20 \
     echo "ci: sweep replay ok: 20-config wall_ratio $grid_ratio (bound 0.55)"
   fi
 else
-  echo "ci: sweep grid emission failed (non-fatal)"
+  echo "ci: sweep grid emission failed"
+  exit 1
 fi
 
 # Serve smoke: a real daemon process on the loopback, driven through the

@@ -28,8 +28,6 @@ pub struct BenchSample {
     pub threads: usize,
     /// Resolved intra-shard pipeline depth (1 = sequential engine).
     pub pipeline_depth: usize,
-    /// Resolved reconstruction worker threads (1 = sequential set walk).
-    pub recon_threads: usize,
     /// Total instructions in the sampled run.
     pub total_insts: u64,
     /// Cluster count and length of the regimen.
@@ -94,7 +92,6 @@ impl BenchSample {
         field("seed", self.seed.to_string());
         field("threads", self.threads.to_string());
         field("pipeline_depth", self.pipeline_depth.to_string());
-        field("recon_threads", self.recon_threads.to_string());
         field("total_insts", self.total_insts.to_string());
         field("clusters", self.clusters.to_string());
         field("cluster_len", self.cluster_len.to_string());
@@ -130,14 +127,12 @@ fn fmt_f64(v: f64) -> String {
 /// Runs the benchmark trajectory: an mcf sampled run under R$BP 20% at the
 /// given scale, plus a standalone reconstruction micro-pass, and returns
 /// the derived metrics. Deterministic for fixed `(scale, seed)` except the
-/// timing fields; `pipeline_depth` and `recon_threads` 0 mean auto
-/// (hardware-aware).
+/// timing fields; `pipeline_depth` 0 means auto (hardware-aware).
 pub fn run_bench_sample(
     scale: f64,
     seed: u64,
     threads: usize,
     pipeline_depth: usize,
-    recon_threads: usize,
 ) -> BenchSample {
     let bench = Benchmark::Mcf;
     let scale = scale.clamp(0.001, 100.0);
@@ -156,10 +151,8 @@ pub fn run_bench_sample(
         .policy(WarmupPolicy::Reverse { cache: true, bp: true, pct })
         .seed(seed)
         .threads(threads)
-        .pipeline_depth(pipeline_depth)
-        .recon_threads(recon_threads);
+        .pipeline_depth(pipeline_depth);
     let resolved_depth = run_spec.resolved_pipeline_depth();
-    let resolved_recon = run_spec.resolved_recon_threads();
     let outcome = run_spec.run().expect("bench-sample run");
 
     let cold_secs = outcome.phases.cold.as_secs_f64();
@@ -182,8 +175,7 @@ pub fn run_bench_sample(
     let t = Instant::now();
     while iters < 100 && (iters < 3 || t.elapsed().as_millis() < 200) {
         let mut hier = MemHierarchy::new(machine.hier.clone());
-        scanned +=
-            reconstruct_caches_partitioned(&mut hier, &log, pct, resolved_recon).0.mem_scanned;
+        scanned += reconstruct_caches_partitioned(&mut hier, &log, pct, 1).0.mem_scanned;
         iters += 1;
     }
     let recon_ns_per_record = t.elapsed().as_nanos() as f64 / scanned.max(1) as f64;
@@ -198,7 +190,6 @@ pub fn run_bench_sample(
         seed,
         threads,
         pipeline_depth: resolved_depth,
-        recon_threads: resolved_recon,
         total_insts: total,
         clusters: n_clusters,
         cluster_len: spec.cluster_len,
@@ -228,17 +219,12 @@ pub fn run_bench_sample(
 /// — on a single-core host, where auto resolves to 1, the matrix is one
 /// row. Estimates are bit-identical across rows; only the timing-derived
 /// fields vary.
-pub fn run_bench_matrix(
-    scale: f64,
-    seed: u64,
-    threads: usize,
-    recon_threads: usize,
-) -> Vec<BenchSample> {
-    let auto = run_bench_sample(scale, seed, threads, 0, recon_threads);
+pub fn run_bench_matrix(scale: f64, seed: u64, threads: usize) -> Vec<BenchSample> {
+    let auto = run_bench_sample(scale, seed, threads, 0);
     if auto.pipeline_depth == 1 {
         return vec![auto];
     }
-    let depth1 = run_bench_sample(scale, seed, threads, 1, recon_threads);
+    let depth1 = run_bench_sample(scale, seed, threads, 1);
     vec![depth1, auto]
 }
 
@@ -260,10 +246,9 @@ mod tests {
 
     #[test]
     fn smoke_scale_emission_has_sane_metrics() {
-        let s = run_bench_sample(0.01, 42, 1, 1, 1);
+        let s = run_bench_sample(0.01, 42, 1, 1);
         assert_eq!(s.bench, "mcf");
         assert_eq!(s.pipeline_depth, 1);
-        assert_eq!(s.recon_threads, 1);
         assert!(s.est_ipc > 0.0);
         assert!(s.cold_mips > 0.0);
         assert!(s.hot_mips > 0.0);
@@ -288,7 +273,6 @@ mod tests {
             seed: 42,
             threads: 4,
             pipeline_depth: 2,
-            recon_threads: 4,
             total_insts: 1_000_000,
             clusters: 30,
             cluster_len: 3000,
@@ -309,7 +293,7 @@ mod tests {
         };
         let json = s.to_json();
         // Shape checks a strict parser would also enforce: one object,
-        // all twenty-three keys, no trailing comma before the brace.
+        // all twenty-two keys, no trailing comma before the brace.
         assert!(json.starts_with("{\n") && json.ends_with("}\n"));
         assert!(!json.contains(",\n}"));
         for key in [
@@ -318,7 +302,6 @@ mod tests {
             "seed",
             "threads",
             "pipeline_depth",
-            "recon_threads",
             "total_insts",
             "clusters",
             "cluster_len",
@@ -345,7 +328,7 @@ mod tests {
 
     #[test]
     fn json_array_wraps_objects_without_breaking_shape() {
-        let s = run_bench_sample(0.01, 42, 1, 1, 1);
+        let s = run_bench_sample(0.01, 42, 1, 1);
         let arr = to_json_array(&[s.clone(), s]);
         assert!(arr.starts_with("[\n{") && arr.ends_with("}\n]\n"));
         assert_eq!(arr.matches("\"bench\":").count(), 2);
@@ -356,20 +339,16 @@ mod tests {
     #[test]
     fn ipc_matches_direct_runspec_at_any_thread_count() {
         // The emitter must not perturb the sampled result: same spec, same
-        // estimate, and neither thread count, pipeline depth, nor recon
-        // worker count may move it.
-        let one = run_bench_sample(0.01, 7, 1, 1, 1);
-        let four = run_bench_sample(0.01, 7, 4, 1, 1);
-        let piped = run_bench_sample(0.01, 7, 1, 2, 1);
-        let recon4 = run_bench_sample(0.01, 7, 1, 1, 4);
+        // estimate, and neither thread count nor pipeline depth may move
+        // it.
+        let one = run_bench_sample(0.01, 7, 1, 1);
+        let four = run_bench_sample(0.01, 7, 4, 1);
+        let piped = run_bench_sample(0.01, 7, 1, 2);
         assert_eq!(one.est_ipc, four.est_ipc);
         assert_eq!(one.log_records, four.log_records);
         assert_eq!(one.log_bytes_peak, four.log_bytes_peak);
         assert_eq!(one.est_ipc, piped.est_ipc);
         assert_eq!(one.log_records, piped.log_records);
         assert_eq!(piped.pipeline_depth, 2);
-        assert_eq!(one.est_ipc, recon4.est_ipc);
-        assert_eq!(one.log_records, recon4.log_records);
-        assert_eq!(recon4.recon_threads, 4);
     }
 }

@@ -65,8 +65,6 @@ pub struct SweepSample {
     pub sweep_configs: usize,
     /// Worker threads (cold capture and per-config replay).
     pub threads: usize,
-    /// Reconstruction worker threads per replayed window.
-    pub recon_threads: usize,
     /// Configs replayed concurrently per captured window (resolved).
     pub replay_threads: usize,
     /// Total instructions in the sampled run.
@@ -122,7 +120,6 @@ impl SweepSample {
         field("seed", self.seed.to_string());
         field("sweep_configs", self.sweep_configs.to_string());
         field("threads", self.threads.to_string());
-        field("recon_threads", self.recon_threads.to_string());
         field("replay_threads", self.replay_threads.to_string());
         field("total_insts", self.total_insts.to_string());
         field("clusters", self.clusters.to_string());
@@ -167,7 +164,6 @@ pub fn run_sweep_sample(
     seed: u64,
     n_configs: usize,
     threads: usize,
-    recon_threads: usize,
     replay_threads: usize,
 ) -> SweepSample {
     let bench = Benchmark::Mcf;
@@ -187,10 +183,7 @@ pub fn run_sweep_sample(
     for point in &grid {
         sweep = sweep.config(
             point.name.clone(),
-            DetailSpec::new(&point.machine())
-                .policy(sweep_policy())
-                .threads(threads)
-                .recon_threads(recon_threads),
+            DetailSpec::new(&point.machine()).policy(sweep_policy()).threads(threads),
         );
     }
     let out: SweepOutcome = sweep.run().expect("sweep run");
@@ -207,7 +200,6 @@ pub fn run_sweep_sample(
             .policy(sweep_policy())
             .seed(seed)
             .threads(threads)
-            .recon_threads(recon_threads)
             .run()
             .expect("standalone reference run");
         standalone_wall += alone.wall.as_secs_f64();
@@ -224,7 +216,6 @@ pub fn run_sweep_sample(
         seed,
         sweep_configs: grid.len(),
         threads,
-        recon_threads,
         replay_threads: out.replay_threads,
         total_insts: total,
         clusters: n_clusters,
@@ -282,7 +273,7 @@ mod tests {
 
     #[test]
     fn smoke_scale_sweep_is_bit_identical_and_amortized() {
-        let s = run_sweep_sample(0.01, 42, 3, 1, 1, 1);
+        let s = run_sweep_sample(0.01, 42, 3, 1, 1);
         assert_eq!(s.bench, "mcf");
         assert_eq!(s.sweep_configs, 3);
         assert_eq!(s.replay_threads, 1);
@@ -305,7 +296,6 @@ mod tests {
             seed: 42,
             sweep_configs: 20,
             threads: 4,
-            recon_threads: 4,
             replay_threads: 2,
             total_insts: 8_000_000,
             clusters: 60,
@@ -333,7 +323,6 @@ mod tests {
             "seed",
             "sweep_configs",
             "threads",
-            "recon_threads",
             "replay_threads",
             "total_insts",
             "clusters",

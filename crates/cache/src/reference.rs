@@ -38,8 +38,8 @@ impl Line {
 ///
 /// Same access and reconstruction semantics as [`crate::Cache`], same
 /// statistics, same `dump_set`/`set_tags_mru_order` observers. It omits the
-/// partitioned-reconstruction machinery (`recon_partitions` and spans) —
-/// those are pinned against the sequential path by their own tests.
+/// batched span walk (`Cache::reconstruct_span`), which is pinned against
+/// the sequential path by its own tests.
 #[derive(Clone, Debug)]
 pub struct RefCache {
     cfg: CacheConfig,

@@ -14,6 +14,8 @@
 //! The argument grammar is deliberately tiny and hand-rolled (no external
 //! parser dependency); this library exposes it for testing.
 
+use std::cell::RefCell;
+
 use rsr_core::{Pct, SimError, WarmupPolicy};
 use rsr_func::{ExecError, LoadError};
 use rsr_serve::FailClass;
@@ -48,7 +50,7 @@ pub enum Command {
         /// Instructions to simulate.
         n: u64,
     },
-    /// `rsr sample <bench> [--policy P] [--pct N] [--clusters N] [--len N] [-n INSTS] [--seed S] [--threads T] [--pipeline-depth D] [--recon-threads R] [--max-shard-retries R] [--log-budget BYTES] [--deadline-secs S]`
+    /// `rsr sample <bench> [--policy P] [--pct N] [--clusters N] [--len N] [-n INSTS] [--seed S] [--threads T] [--pipeline-depth D] [--max-shard-retries R] [--log-budget BYTES] [--deadline-secs S]`
     Sample {
         /// Workload to sample.
         bench: Benchmark,
@@ -67,9 +69,6 @@ pub enum Command {
         /// Intra-shard leader/follower pipeline depth (0 = auto; results
         /// are identical at any depth).
         pipeline_depth: usize,
-        /// Per-window reconstruction worker threads (0 = auto; results
-        /// are identical at any count).
-        recon_threads: usize,
         /// Shard-fault retry budget (`None` = engine default).
         max_shard_retries: Option<u32>,
         /// Per-region RSR log cap in bytes (`None` = unbounded).
@@ -90,7 +89,7 @@ pub enum Command {
         /// Replay count.
         replays: usize,
     },
-    /// `rsr sweep <bench> [--configs N] [--policy P] [--pct N] [--clusters N] [--len N] [-n INSTS] [--seed S] [--threads T] [--recon-threads R] [--replay-threads W] [--out PATH]`
+    /// `rsr sweep <bench> [--configs N] [--policy P] [--pct N] [--clusters N] [--len N] [-n INSTS] [--seed S] [--threads T] [--replay-threads W] [--out PATH]`
     Sweep {
         /// Workload to sweep.
         bench: Benchmark,
@@ -110,14 +109,12 @@ pub enum Command {
         seed: u64,
         /// Worker threads for the cold capture and each config's replay.
         threads: usize,
-        /// Per-window reconstruction worker threads (0 = auto).
-        recon_threads: usize,
         /// Configs replayed concurrently per captured window (0 = auto).
         replay_threads: usize,
         /// Destination for the JSON rows (`None` = stdout).
         out: Option<String>,
     },
-    /// `rsr bench [--scale S] [--seed N] [--threads T] [--pipeline-depth D] [--recon-threads R] [--replay-threads W] [--sweep-configs N] [--sweep-smoke] [--out PATH]`
+    /// `rsr bench [--scale S] [--seed N] [--threads T] [--pipeline-depth D] [--replay-threads W] [--sweep-configs N] [--sweep-smoke] [--out PATH]`
     Bench {
         /// Run-length scale factor relative to the default regimen.
         scale: f64,
@@ -128,8 +125,6 @@ pub enum Command {
         /// Intra-shard leader/follower pipeline depth (0 = auto; 0 also
         /// emits a depth-1 + auto-depth matrix instead of one object).
         pipeline_depth: usize,
-        /// Per-window reconstruction worker threads (0 = auto).
-        recon_threads: usize,
         /// Configs replayed concurrently per captured window in the
         /// sweep rows (0 = auto).
         replay_threads: usize,
@@ -395,18 +390,16 @@ commands:
   trace  <bench> [-n N]         print the first N retired instructions (default 20)
   run    <bench> [-n INSTS]     full cycle-accurate run (default 1000000)
   sample <bench> [--policy P] [--pct N] [--clusters N] [--len N] [-n INSTS] [--seed S]
-         [--threads T] [--pipeline-depth D] [--recon-threads R] [--max-shard-retries R]
-         [--log-budget BYTES] [--deadline-secs S]
+         [--threads T] [--pipeline-depth D] [--max-shard-retries R] [--log-budget BYTES]
+         [--deadline-secs S]
                                 sampled simulation (defaults: r$bp 20%, 30x1000, 2M, seed 42,
                                 1 thread; --threads shards the schedule, results identical;
                                 --pipeline-depth overlaps cold fast-forward with recon+hot
                                 inside each shard, 0 = auto, results identical at any depth;
-                                --recon-threads parallelizes reverse cache reconstruction
-                                over set partitions, 0 = auto, results identical at any count;
                                 retries heal shard faults, --log-budget degrades over-budget
                                 clusters to stale-state warmup, --deadline-secs aborts cleanly)
   sweep  <bench> [--configs N] [--policy P] [--pct N] [--clusters N] [--len N] [-n INSTS]
-         [--seed S] [--threads T] [--recon-threads R] [--replay-threads W] [--out PATH]
+         [--seed S] [--threads T] [--replay-threads W] [--out PATH]
                                 design-space sweep: one functional cold pass fanned
                                 across N machine variants (L1D capacity x gshare history
                                 grid around the paper geometry); emits one JSON row per
@@ -416,8 +409,8 @@ commands:
                                 --replay-threads replays W configs concurrently per
                                 captured window, 0 = auto; per-config results are
                                 bit-identical to standalone runs at any worker count)
-  bench  [--scale S] [--seed N] [--threads T] [--pipeline-depth D] [--recon-threads R]
-         [--replay-threads W] [--sweep-configs N] [--sweep-smoke] [--serve-smoke] [--out PATH]
+  bench  [--scale S] [--seed N] [--threads T] [--pipeline-depth D] [--replay-threads W]
+         [--sweep-configs N] [--sweep-smoke] [--serve-smoke] [--out PATH]
                                 reproducible perf trajectory: runs mcf under r$bp 20%
                                 and emits BENCH_sample.json-shaped metrics (cold-phase
                                 MIPS, recon ns/record per structure, peak log bytes, wall
@@ -480,12 +473,21 @@ fn parse_bench(name: Option<&String>) -> Result<Benchmark, UsageError> {
     Benchmark::from_name(name).ok_or_else(|| UsageError(format!("unknown benchmark `{name}`")))
 }
 
+/// A command's arguments, scanned by flag name. Every lookup records the
+/// flag as accepted (and whether it takes a value), so once a command has
+/// read its flags, [`Flags::reject_unknown`] can refuse everything else.
 struct Flags<'a> {
     args: &'a [String],
+    known: RefCell<Vec<(&'static str, bool)>>,
 }
 
-impl Flags<'_> {
-    fn value(&self, flag: &str) -> Option<&str> {
+impl<'a> Flags<'a> {
+    fn new(args: &'a [String]) -> Flags<'a> {
+        Flags { args, known: RefCell::new(Vec::new()) }
+    }
+
+    fn value(&self, flag: &'static str) -> Option<&'a str> {
+        self.known.borrow_mut().push((flag, true));
         self.args
             .iter()
             .position(|a| a == flag)
@@ -493,7 +495,11 @@ impl Flags<'_> {
             .map(|s| s.as_str())
     }
 
-    fn parsed<T: std::str::FromStr>(&self, flag: &str, default: T) -> Result<T, UsageError> {
+    fn parsed<T: std::str::FromStr>(
+        &self,
+        flag: &'static str,
+        default: T,
+    ) -> Result<T, UsageError> {
         match self.value(flag) {
             None if self.present(flag) => Err(UsageError(format!("missing value for {flag}"))),
             None => Ok(default),
@@ -501,7 +507,10 @@ impl Flags<'_> {
         }
     }
 
-    fn parsed_opt<T: std::str::FromStr>(&self, flag: &str) -> Result<Option<T>, UsageError> {
+    fn parsed_opt<T: std::str::FromStr>(
+        &self,
+        flag: &'static str,
+    ) -> Result<Option<T>, UsageError> {
         match self.value(flag) {
             None if self.present(flag) => Err(UsageError(format!("missing value for {flag}"))),
             None => Ok(None),
@@ -511,7 +520,7 @@ impl Flags<'_> {
         }
     }
 
-    fn string(&self, flag: &str, default: &str) -> Result<String, UsageError> {
+    fn string(&self, flag: &'static str, default: &str) -> Result<String, UsageError> {
         match self.value(flag) {
             None if self.present(flag) => Err(UsageError(format!("missing value for {flag}"))),
             None => Ok(default.to_string()),
@@ -519,8 +528,31 @@ impl Flags<'_> {
         }
     }
 
-    fn present(&self, flag: &str) -> bool {
+    fn present(&self, flag: &'static str) -> bool {
+        self.known.borrow_mut().push((flag, false));
         self.args.iter().any(|a| a == flag)
+    }
+
+    /// Fails on the first `-`-prefixed argument the command never looked
+    /// up, so a misspelled or retired flag is an error rather than a
+    /// silently ignored no-op. A value flag's argument is skipped, so
+    /// values may start with `-`.
+    fn reject_unknown(&self, cmd: &str) -> Result<(), UsageError> {
+        let known = self.known.borrow();
+        let mut args = self.args.iter();
+        while let Some(arg) = args.next() {
+            if !arg.starts_with('-') {
+                continue;
+            }
+            match known.iter().filter(|(flag, _)| *flag == arg.as_str()).map(|&(_, v)| v).max() {
+                Some(true) => {
+                    args.next();
+                }
+                Some(false) => {}
+                None => return Err(UsageError(format!("unknown flag `{arg}` for `{cmd}`"))),
+            }
+        }
+        Ok(())
     }
 }
 
@@ -539,13 +571,13 @@ fn nonzero<T: PartialEq + From<u8>>(value: T, flag: &str) -> Result<T, UsageErro
 ///
 /// # Errors
 ///
-/// Returns [`UsageError`] for unknown commands, benchmarks, policies, or
-/// malformed values.
+/// Returns [`UsageError`] for unknown commands, flags, benchmarks,
+/// policies, or malformed values.
 pub fn parse(args: &[String]) -> Result<Command, UsageError> {
     let cmd = args.first().ok_or_else(|| UsageError(USAGE.into()))?;
     let rest = &args[1..];
-    let flags = Flags { args: rest };
-    Ok(match cmd.as_str() {
+    let flags = Flags::new(rest);
+    let command = match cmd.as_str() {
         "list" => Command::List,
         "disasm" => {
             Command::Disasm { bench: parse_bench(rest.first())?, head: flags.parsed("--head", 32)? }
@@ -571,7 +603,6 @@ pub fn parse(args: &[String]) -> Result<Command, UsageError> {
                 seed: flags.parsed("--seed", 42)?,
                 threads: flags.parsed("--threads", 1)?,
                 pipeline_depth: flags.parsed("--pipeline-depth", 0)?,
-                recon_threads: flags.parsed("--recon-threads", 0)?,
                 max_shard_retries: flags.parsed_opt("--max-shard-retries")?,
                 log_budget: flags.parsed_opt("--log-budget")?,
                 deadline_secs: flags.parsed_opt("--deadline-secs")?,
@@ -594,9 +625,8 @@ pub fn parse(args: &[String]) -> Result<Command, UsageError> {
                 n: flags.parsed("-n", 2_000_000)?,
                 seed: flags.parsed("--seed", 42)?,
                 threads: flags.parsed("--threads", 1)?,
-                recon_threads: flags.parsed("--recon-threads", 0)?,
                 replay_threads: flags.parsed("--replay-threads", 0)?,
-                out: flags.value("--out").map(str::to_string),
+                out: flags.parsed_opt("--out")?,
             }
         }
         "bench" => Command::Bench {
@@ -604,12 +634,11 @@ pub fn parse(args: &[String]) -> Result<Command, UsageError> {
             seed: flags.parsed("--seed", 42)?,
             threads: flags.parsed("--threads", 1)?,
             pipeline_depth: flags.parsed("--pipeline-depth", 0)?,
-            recon_threads: flags.parsed("--recon-threads", 0)?,
             replay_threads: flags.parsed("--replay-threads", 0)?,
             sweep_configs: flags.parsed("--sweep-configs", 0)?,
             sweep_smoke: flags.present("--sweep-smoke"),
             serve_smoke: flags.present("--serve-smoke"),
-            out: flags.value("--out").map(str::to_string),
+            out: flags.parsed_opt("--out")?,
         },
         "ckpt" => Command::Ckpt {
             bench: parse_bench(rest.first())?,
@@ -629,9 +658,10 @@ pub fn parse(args: &[String]) -> Result<Command, UsageError> {
         },
         "submit" => {
             let addr = flags.string("--addr", DEFAULT_SERVE_ADDR)?;
-            let action = if flags.present("--stats") {
+            let (stats, drain) = (flags.present("--stats"), flags.present("--drain"));
+            let action = if stats {
                 SubmitAction::Stats
-            } else if flags.present("--drain") {
+            } else if drain {
                 SubmitAction::Drain
             } else {
                 let pct: u8 = flags.parsed("--pct", 20)?;
@@ -667,7 +697,9 @@ pub fn parse(args: &[String]) -> Result<Command, UsageError> {
         },
         "-h" | "--help" | "help" => return Err(UsageError(USAGE.into())),
         other => return Err(UsageError(format!("unknown command `{other}`\n\n{USAGE}"))),
-    })
+    };
+    flags.reject_unknown(cmd)?;
+    Ok(command)
 }
 
 #[cfg(test)]
@@ -838,7 +870,6 @@ mod tests {
                 seed: 42,
                 threads: 1,
                 pipeline_depth: 0,
-                recon_threads: 0,
                 replay_threads: 0,
                 sweep_configs: 0,
                 sweep_smoke: false,
@@ -848,8 +879,8 @@ mod tests {
         );
         assert_eq!(
             parse(&argv(
-                "bench --scale 0.05 --seed 7 --threads 4 --pipeline-depth 2 --recon-threads 4 \
-                 --replay-threads 2 --sweep-configs 20 --out BENCH_sample.json"
+                "bench --scale 0.05 --seed 7 --threads 4 --pipeline-depth 2 --replay-threads 2 \
+                 --sweep-configs 20 --out BENCH_sample.json"
             ))
             .unwrap(),
             Command::Bench {
@@ -857,7 +888,6 @@ mod tests {
                 seed: 7,
                 threads: 4,
                 pipeline_depth: 2,
-                recon_threads: 4,
                 replay_threads: 2,
                 sweep_configs: 20,
                 sweep_smoke: false,
@@ -896,20 +926,17 @@ mod tests {
         }
         match parse(&argv(
             "sweep twolf --configs 20 --policy r$ --pct 40 --clusters 12 --len 500 -n 100000 \
-             --seed 7 --threads 4 --recon-threads 2 --replay-threads 4 --out rows.json",
+             --seed 7 --threads 4 --replay-threads 4 --out rows.json",
         ))
         .unwrap()
         {
-            Command::Sweep {
-                bench, configs, policy, recon_threads, replay_threads, out, ..
-            } => {
+            Command::Sweep { bench, configs, policy, replay_threads, out, .. } => {
                 assert_eq!(bench, Benchmark::Twolf);
                 assert_eq!(configs, 20);
                 assert_eq!(
                     policy,
                     WarmupPolicy::Reverse { cache: true, bp: false, pct: Pct::new(40) }
                 );
-                assert_eq!(recon_threads, 2);
                 assert_eq!(replay_threads, 4);
                 assert_eq!(out, Some("rows.json".into()));
             }
@@ -936,17 +963,42 @@ mod tests {
     }
 
     #[test]
-    fn recon_threads_flag_parses_and_defaults_to_auto() {
-        match parse(&argv("sample mcf --recon-threads 4")).unwrap() {
-            Command::Sample { recon_threads, .. } => assert_eq!(recon_threads, 4),
+    fn unknown_flags_are_rejected_by_name() {
+        for cmdline in [
+            "sample mcf --pipline-depth 1",
+            "sweep mcf --pipeline-depth 2",
+            "bench --configs 4",
+            "bench --sweep-smoke --bogus",
+            "run gcc --threads 4",
+            "list --verbose",
+            "submit --stats --seed 3",
+        ] {
+            let bad = cmdline.split_whitespace().rfind(|w| w.starts_with('-')).unwrap();
+            let e = parse(&argv(cmdline)).unwrap_err();
+            assert!(e.0.contains(&format!("unknown flag `{bad}`")), "{cmdline}: got `{e}`");
+        }
+        // A value flag's argument is never mistaken for a flag, and
+        // boolean flags take none.
+        match parse(&argv("sweep mcf --out -x --seed 3")).unwrap() {
+            Command::Sweep { out, seed, .. } => assert_eq!((out, seed), (Some("-x".into()), 3)),
             other => panic!("parsed {other:?}"),
         }
-        match parse(&argv("sample mcf")).unwrap() {
-            Command::Sample { recon_threads, .. } => assert_eq!(recon_threads, 0, "0 = auto"),
+        match parse(&argv("bench --sweep-smoke --seed 3")).unwrap() {
+            Command::Bench { sweep_smoke, seed, .. } => assert_eq!((sweep_smoke, seed), (true, 3)),
             other => panic!("parsed {other:?}"),
         }
-        let e = parse(&argv("sample mcf --recon-threads many")).unwrap_err();
-        assert!(e.0.contains("bad value"));
+        assert_eq!(
+            parse(&argv("submit --stats --drain")).unwrap(),
+            Command::Submit { addr: DEFAULT_SERVE_ADDR.into(), action: SubmitAction::Stats }
+        );
+    }
+
+    #[test]
+    fn bare_trailing_out_is_a_missing_value() {
+        for cmdline in ["sweep mcf --out", "bench --out", "bench --sweep-smoke --out"] {
+            let e = parse(&argv(cmdline)).unwrap_err();
+            assert_eq!(e.0, "missing value for --out", "{cmdline}");
+        }
     }
 
     #[test]

@@ -71,7 +71,7 @@ use crate::log::{pool_bound, LogPool, ReconGeometry, ReconIndex, SkipLog};
 use crate::policy::Pct;
 use crate::sampler::{detailed_window, policy_decouples, WindowIndex};
 use crate::shard::{check_deadline, run_sharded_with, GroupCtx, RunGuards};
-use crate::spec::{ColdSpec, DetailSpec};
+use crate::spec::{host_cores, ColdSpec, DetailSpec};
 use crate::{SampleOutcome, SimError, WarmupPolicy};
 
 /// One captured cluster window: the functional state at the cluster
@@ -250,22 +250,15 @@ impl<'a> SweepSpec<'a> {
     }
 
     /// The replay fan-out a run will actually use. An explicit
-    /// [`SweepSpec::replay_threads`] is honored as given (clamped to
-    /// ≥ 1); auto divides the host's hardware threads by the cores the
-    /// sweep already occupies — capture groups times the widest config's
-    /// reconstruction fan-out — so the three parallelism layers never
-    /// oversubscribe. Either way the result is clamped to the config
-    /// count (a wider fan-out would just idle).
+    /// [`SweepSpec::replay_threads`] is honored as given; auto divides the
+    /// host's hardware threads by the capture groups the sweep already
+    /// occupies ([`SweepSpec::resolved_cold_threads`]). Either way the
+    /// result is clamped to `[1, configs]` (a wider fan-out would just
+    /// idle).
     pub fn resolved_replay_threads(&self) -> usize {
         let n = self.configs.len().max(1);
-        if let Some(t) = self.replay_threads {
-            return t.clamp(1, n);
-        }
-        let cores =
-            std::thread::available_parallelism().map(std::num::NonZeroUsize::get).unwrap_or(1);
-        let recon = self.configs.iter().map(|(_, d)| d.resolved_recon_threads()).max().unwrap_or(1);
-        let occupied = self.resolved_cold_threads().max(1) * recon.max(1);
-        (cores / occupied).clamp(1, n)
+        let t = self.replay_threads.unwrap_or_else(|| host_cores() / self.resolved_cold_threads());
+        t.clamp(1, n)
     }
 
     /// Validates the sweep: the cold half must pass
@@ -330,10 +323,8 @@ impl<'a> SweepSpec<'a> {
             max_retries: self.cold.max_shard_retries,
             injector: injector.as_ref(),
             // The capture side is purely functional; the pipeline layer
-            // belongs to the standalone engines, and reconstruction
-            // parallelism is each config's own knob.
+            // belongs to the standalone engines.
             pipeline_depth: 1,
-            recon_threads: 1,
         };
         let details: Vec<&DetailSpec> = self.configs.iter().map(|(_, d)| d).collect();
 
@@ -558,7 +549,6 @@ struct ConfigReplay<'d> {
     pct: Pct,
     want_cache: bool,
     want_bp: bool,
-    recon_threads: usize,
     hier: MemHierarchy,
     pred: Predictor,
     outcome: SampleOutcome,
@@ -574,7 +564,6 @@ impl<'d> ConfigReplay<'d> {
             pct: reverse_pct(detail.policy),
             want_cache,
             want_bp,
-            recon_threads: detail.resolved_recon_threads(),
             hier: MemHierarchy::new(detail.machine.hier.clone()),
             pred: Predictor::new(detail.machine.pred),
             outcome: SampleOutcome::empty(detail.policy),
@@ -716,7 +705,6 @@ fn replay_one(
         cpu,
         len,
         log,
-        st.recon_threads,
         &mut st.outcome,
     )
 }
@@ -922,4 +910,42 @@ fn replay_windows<'d>(
         index_builds_shared: shared,
         restore_bytes,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use rsr_isa::{Asm, Program};
+
+    use super::*;
+    use crate::MachineConfig;
+
+    fn halt_program() -> Program {
+        let mut a = Asm::new();
+        a.halt();
+        a.finish().unwrap()
+    }
+
+    fn sweep_of(program: &Program, configs: usize, threads: usize) -> SweepSpec<'_> {
+        let detail = DetailSpec::new(&MachineConfig::paper()).threads(threads);
+        (0..configs).fold(SweepSpec::new(ColdSpec::new(program)), |s, i| {
+            s.config(format!("c{i}"), detail.clone())
+        })
+    }
+
+    #[test]
+    fn replay_threads_resolve_against_configs_and_cold_threads() {
+        let p = halt_program();
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        // An explicit value is clamped to [1, configs].
+        assert_eq!(sweep_of(&p, 3, 1).replay_threads(8).resolved_replay_threads(), 3);
+        assert_eq!(sweep_of(&p, 3, 1).replay_threads(2).resolved_replay_threads(), 2);
+        assert_eq!(sweep_of(&p, 1, 1).replay_threads(4).resolved_replay_threads(), 1);
+        // Auto divides the host's cores by the capture groups (the widest
+        // config's thread count unless set explicitly).
+        for (configs, threads, cold) in [(1, 1, 0), (4, 1, 0), (64, 1, 0), (64, 2, 0), (64, 1, 3)] {
+            let s = sweep_of(&p, configs, threads).cold_threads(cold);
+            let want = (cores / s.resolved_cold_threads()).clamp(1, configs);
+            assert_eq!(s.resolved_replay_threads(), want, "{configs} configs, {threads} threads");
+        }
+    }
 }

@@ -724,8 +724,7 @@ fn run_attempt(
     // The service's core-budget arithmetic: each concurrent job gets
     // cores/workers shard threads and nothing else, so the pool as a
     // whole never oversubscribes the host.
-    let detail =
-        job_detail_spec(job).threads(shared.per_job_threads).pipeline_depth(1).recon_threads(1);
+    let detail = job_detail_spec(job).threads(shared.per_job_threads).pipeline_depth(1);
     RunSpec::from_parts(cold, detail).run()
 }
 
