@@ -19,8 +19,9 @@ cargo test -q -p rsr-integration --test packed_equivalence
 # The leader/follower pipeline suite, by name: pipelined runs must stay
 # bit-identical to the sequential engine at every (threads, depth).
 cargo test -q -p rsr-integration --test pipeline_equivalence
-# The partitioned-reconstruction suite, by name: index-driven per-set
-# reverse scans must stay bit-identical to the sequential full scan.
+# The partitioned-reconstruction suite, by name: the engine's index-driven
+# reverse scans must stay bit-identical to the tests crate's sequential
+# oracles (reconstruct_caches_sequential, RefBpReconstructor).
 cargo test -q -p rsr-integration --test recon_partition
 # The sweep-engine suite, by name: every config of a one-cold-pass sweep
 # must stay bit-identical to its standalone run, and supervision must
@@ -37,7 +38,8 @@ cargo test -q -p rsr-integration --test serve_robustness
 cargo test -q -p rsr-integration --test func_equivalence
 # The detailed-window kernel equivalence suite, by name: the SoA cache,
 # packed gshare, bitset BTB, and inline RAS must stay bit-identical to
-# their retained reference implementations over random access streams,
+# the tests crate's reference implementations (RefCache, RefGshare,
+# RefBtb, RefRas) over random access streams,
 # reverse reconstruction with budget cuts, and real skip-log replays
 # (ext-spill records, over-budget truncation).
 cargo test -q -p rsr-integration --test timing_equivalence
@@ -45,7 +47,8 @@ cargo fmt --all --check
 cargo clippy --workspace --all-targets -- -D warnings
 # Hard gate: the core engine and its deps must fail typed, not panic.
 # clippy.toml exempts test code.
-cargo clippy -p rsr-core -- -A warnings -D clippy::unwrap_used -D clippy::expect_used
+cargo clippy -p rsr-core -p rsr-isa -p rsr-func -p rsr-cache -p rsr-branch -p rsr-timing \
+  -p rsr-stats -- -A warnings -D clippy::unwrap_used -D clippy::expect_used
 
 # Bench-smoke regression guard: recon_ns_per_record is per-record, so the
 # smoke run is comparable to the committed full-scale reference. A >25%
@@ -102,7 +105,8 @@ if ./target/release/rsr bench --scale 0.05 --out target/BENCH_sample.smoke.json;
   # PHT-reconstruction guard: like recon_ns_per_record, the per-record
   # cost is scale-free, so the smoke run compares to the full-scale
   # reference. The last-writer index dropped this >3x; a >25% regression
-  # means the indexed fast path fell back to the legacy HashMap walk.
+  # means the sealed demand scan slowed down (or stopped finding the
+  # follower's sealed index and rebuilt one per region).
   # Timing, so advisory on starved <= 2-core hosts.
   smoke_pht=$(grep -m1 '"recon_pht_ns_per_record"' target/BENCH_sample.smoke.json \
     | sed 's/[^0-9.]//g')

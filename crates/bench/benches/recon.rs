@@ -5,7 +5,8 @@
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use rsr_cache::{HierAccess, HierarchyConfig, MemHierarchy};
 use rsr_core::{
-    reconstruct_caches, MachineConfig, Pct, RunSpec, SamplingRegimen, SkipLog, WarmupPolicy,
+    reconstruct_caches_partitioned, MachineConfig, Pct, ReconGeometry, RunSpec, SamplingRegimen,
+    SkipLog, WarmupPolicy,
 };
 use rsr_func::Cpu;
 use rsr_workloads::{Benchmark, WorkloadParams};
@@ -38,7 +39,11 @@ fn recorded_accesses() -> Vec<(u64, HierAccess)> {
 }
 
 fn bench_region_warmup(c: &mut Criterion) {
-    let log = logged_region();
+    // Sealed once, outside the timed closures: the engine seals during
+    // cold recording, so the reverse scan below is the one it runs.
+    let machine = MachineConfig::paper();
+    let mut log = logged_region();
+    log.seal_mem_index(&ReconGeometry::of_machine(&machine));
     let accesses = recorded_accesses();
     let mut group = c.benchmark_group("region_warmup");
     group.sample_size(10);
@@ -59,9 +64,9 @@ fn bench_region_warmup(c: &mut Criterion) {
     for pct in [20u8, 100] {
         group.bench_function(format!("reverse_reconstruction_{pct}pct"), |b| {
             b.iter_batched(
-                || MemHierarchy::new(HierarchyConfig::paper()),
+                || MemHierarchy::new(machine.hier.clone()),
                 |mut hier| {
-                    reconstruct_caches(&mut hier, &log, Pct::new(pct));
+                    reconstruct_caches_partitioned(&mut hier, &log, Pct::new(pct), 1);
                     hier
                 },
                 BatchSize::LargeInput,

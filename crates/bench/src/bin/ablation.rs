@@ -14,8 +14,8 @@ use rsr_bench::{fmt_secs, print_table, Experiment};
 use rsr_branch::Predictor;
 use rsr_cache::MemHierarchy;
 use rsr_core::{
-    reconstruct_caches, BpReconstructor, Pct, RunSpec, SampleOutcome, Schedule, SkipLog,
-    WarmupPolicy,
+    reconstruct_caches_partitioned, BpReconstructor, Pct, ReconGeometry, RunSpec, SampleOutcome,
+    Schedule, SkipLog, WarmupPolicy,
 };
 use rsr_func::Cpu;
 use rsr_stats::relative_error;
@@ -83,7 +83,11 @@ fn main() {
 
         // Eager variant: same pipeline, but the reconstructor consumes its
         // entire budget before the cluster starts. Carryover state, as in
-        // the sampler proper.
+        // the sampler proper, and each region sealed for this machine
+        // before reconstructing, so both variants time the same indexed
+        // scans.
+        let pct = Pct::new(20);
+        let geom = ReconGeometry::of_machine(&machine);
         let schedule = Schedule::generate(regimen, total, seed);
         let mut cpu = Cpu::new(&program).expect("loads");
         let mut hier = MemHierarchy::new(machine.hier.clone());
@@ -96,8 +100,10 @@ fn main() {
         for w in schedule.windows() {
             log.reset(true, true, pred.gshare.ghr());
             log.record_region(&mut cpu, w.start - pos).expect("skip");
-            reconstruct_caches(&mut hier, &log, Pct::new(20));
-            let mut recon = BpReconstructor::new(&mut pred, &log, Pct::new(20));
+            log.seal_mem_index(&geom);
+            log.seal_branch_index(&geom, pct);
+            reconstruct_caches_partitioned(&mut hier, &log, pct, 1);
+            let mut recon = BpReconstructor::new(&mut pred, &log, pct);
             recon.exhaust(&mut pred);
             scanned += recon.stats().branch_scanned;
             let stats = simulate_cluster_hooked(

@@ -22,8 +22,8 @@ pub struct BtbStats {
 /// `valid`/`reconstructed` bitsets, so the fetch-path probe reads two cache
 /// lines instead of striding over 32-byte entry structs, and
 /// [`Btb::begin_reconstruction`] clears one bit per entry. The previous
-/// array-of-structs layout survives as [`crate::RefBtb`], the equivalence
-/// oracle.
+/// array-of-structs layout survives as `RefBtb` in the integration-test
+/// crate, the equivalence oracle.
 #[derive(Clone, Debug)]
 pub struct Btb {
     tags: Vec<u64>,

@@ -27,7 +27,7 @@ const WEAK_NT_WORD: u64 = 0x5555_5555_5555_5555;
 /// index/predict/update path of the detailed window touches one word per
 /// probe and [`Gshare::begin_reconstruction`] clears an eighth of the bytes
 /// the previous `Vec<bool>` did. The unpacked layout survives as
-/// [`crate::RefGshare`], the equivalence oracle.
+/// `RefGshare` in the integration-test crate, the equivalence oracle.
 ///
 /// Reconstruction support mirrors the cache: each entry carries a
 /// *reconstructed* bit cleared by [`Gshare::begin_reconstruction`]; the RSR

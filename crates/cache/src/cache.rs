@@ -8,7 +8,7 @@
 //! walks only its set bits over adjacent tags (one bounds check via a
 //! subslice); victim selection is a popcount/shift affair on the mask
 //! instead of a struct scan. The previous array-of-structs layout survives
-//! as [`crate::RefCache`], the equivalence oracle.
+//! as `RefCache` in the integration-test crate, the equivalence oracle.
 
 use crate::{CacheConfig, WritePolicy};
 

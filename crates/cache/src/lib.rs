@@ -25,12 +25,10 @@ mod bus;
 mod cache;
 mod config;
 mod hierarchy;
-mod reference;
 mod sampling;
 
 pub use bus::{Bus, BusConfig, BusStats};
 pub use cache::{AccessKind, AccessOutcome, Addr, Cache, CacheStats, ReconOutcome, SpanOutcome};
 pub use config::{CacheConfig, WritePolicy};
 pub use hierarchy::{HierAccess, HierarchyConfig, HierarchyStats, MemHierarchy};
-pub use reference::RefCache;
 pub use sampling::{SetSampleStats, SetSampledCache};

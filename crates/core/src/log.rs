@@ -315,17 +315,24 @@ impl<const MEM: bool, const BR: bool> RetireSink for FastSink<'_, MEM, BR> {
 
 /// "Not a conditional branch" marker in the [`ReconIndex`] PHT key column
 /// (real PHT keys fit because gshare history is capped at 26 bits), and
-/// the record-count ceiling above which sealing is skipped — every sealed
-/// record index must fit in a u32.
+/// the per-stream record ceiling of a non-truncated log — every sealed
+/// record index must fit in a u32 (see [`over_record_ceiling`]).
 pub(crate) const CHAIN_NONE: u32 = u32::MAX;
+
+/// Whether a region holding `mem` memory and `branches` branch records is
+/// past the indexable ceiling. Such a region is truncated exactly like a
+/// budget overflow, so every log that reconstructs can be indexed.
+pub(crate) const fn over_record_ceiling(mem: usize, branches: usize) -> bool {
+    mem >= CHAIN_NONE as usize || branches >= CHAIN_NONE as usize
+}
 
 /// The structure geometry a [`ReconIndex`] was sealed for.
 ///
 /// Derivable from configuration alone — the pipeline *leader* seals the
 /// memory-side chains without ever holding a cache or predictor instance —
 /// and stored with the index so consumers can verify the chains match
-/// their structures before trusting them (a mismatch silently falls back
-/// to the full reverse scan).
+/// their structures before trusting them (on a mismatch the consumer
+/// builds an index for its own geometry instead).
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct ReconGeometry {
     /// L1I set count (power of two).
@@ -389,8 +396,9 @@ impl ReconGeometry {
 /// unusable. What *can* move to seal time is the GHR forward pass: the
 /// per-record PHT keys and the region-final GHR.
 ///
-/// A record index ≥ `u32::MAX` cannot be indexed; sealing is skipped then
-/// and consumers fall back to the full scan.
+/// A record index ≥ `u32::MAX` cannot be indexed, so no non-truncated log
+/// holds that many records in either stream ([`over_record_ceiling`]):
+/// every log that reconstructs can be sealed.
 #[derive(Clone, Debug)]
 pub(crate) struct ReconIndex {
     /// Geometry the spans were keyed by.
@@ -419,9 +427,9 @@ pub(crate) struct ReconIndex {
     /// PHT index probed by each branch record (`CHAIN_NONE` for
     /// non-conditional records), from the sealed GHR forward pass.
     pub(crate) pht_key: Vec<u32>,
-    /// Per-record scan flags ([`BR_F_COND`] / [`BR_F_TAKEN`] /
-    /// [`BR_F_BTB_LW`]): everything the demand scan's common path needs,
-    /// in one byte, so it stops decoding the packed meta column.
+    /// Per-record scan verdicts ([`BR_F_BTB_LW`] / [`BR_F_PHT_RESOLVE`] /
+    /// [`BR_F_PHT_FLUSH_LW`]): everything the demand scan needs about a
+    /// record, in one byte, so it never decodes the packed meta column.
     pub(crate) br_flags: Vec<u8>,
     /// Compacted demand-scan worklist: indices of the in-budget records
     /// with any effectful flag ([`BR_F_PHT_RESOLVE`] / [`BR_F_PHT_FLUSH_LW`]
@@ -441,7 +449,7 @@ pub(crate) struct ReconIndex {
     pub(crate) ghr_final: u64,
     /// `ghr_at_start` value the PHT keys were hashed under — every key
     /// depends on it, so a changed start GHR invalidates the seal.
-    ghr_start: u64,
+    pub(crate) ghr_start: u64,
     /// Counting-sort cursor scratch, kept so pooled logs re-seal without
     /// reallocating.
     scratch: Vec<u32>,
@@ -450,10 +458,6 @@ pub(crate) struct ReconIndex {
     br_scratch: Vec<u8>,
 }
 
-/// [`ReconIndex::br_flags`] bit: conditional branch (has a PHT key).
-pub(crate) const BR_F_COND: u8 = 1 << 0;
-/// [`ReconIndex::br_flags`] bit: taken transfer (touches the BTB).
-pub(crate) const BR_F_TAKEN: u8 = 1 << 1;
 /// [`ReconIndex::br_flags`] bit: *last writer* of its BTB slot — the
 /// newest taken record mapping to that slot in the whole region. In the
 /// newest-first scan only the first record to reach an unmarked slot ever
@@ -463,23 +467,13 @@ pub(crate) const BR_F_TAKEN: u8 = 1 << 1;
 /// marked the slot or found it already marked. The scan can therefore
 /// skip the BTB probe for all but these records.
 pub(crate) const BR_F_BTB_LW: u8 = 1 << 2;
-/// [`ReconIndex::br_flags`] bit: conditional record older than its PHT
-/// key's *exact-resolution point* — the newest record at which the sealed
-/// inference state pins the counter uniquely. The demand cursor is global
-/// and monotonic from the newest record, so by the time the scan reaches
-/// a flagged record its key is always already marked reconstructed and
-/// the record is a guaranteed no-op: the scan can skip the key load and
-/// the reconstructed-bit probe (its only random accesses) entirely.
-/// Like [`BR_F_BTB_LW`], this is sound because budgets truncate the *old*
-/// end of the scan — a budget cut can stop the scan before the
-/// resolution point, but never process records beyond it out of order.
-pub(crate) const BR_F_PHT_DEAD: u8 = 1 << 3;
 /// [`ReconIndex::br_flags`] bit: this record *is* its PHT key's
-/// exact-resolution point — the sealed state pins the counter uniquely
-/// and the key cannot already be marked when the monotonic cursor gets
-/// here (marks before exhaustion happen only at resolution points, one
-/// per key), so the scan applies `set_counter` + `mark_reconstructed`
-/// without probing the reconstructed bitset first.
+/// exact-resolution point — the newest record at which the sealed
+/// inference state pins the counter uniquely — and the key cannot already
+/// be marked when the monotonic cursor gets here (marks before exhaustion
+/// happen only at resolution points, one per key), so the scan applies
+/// `set_counter` + `mark_reconstructed` without probing the reconstructed
+/// bitset first.
 pub(crate) const BR_F_PHT_RESOLVE: u8 = 1 << 4;
 /// [`ReconIndex::br_flags`] bit: the *oldest* never-resolving
 /// conditional for its PHT key within the sealed scan budget — the one
@@ -489,8 +483,8 @@ pub(crate) const BR_F_PHT_RESOLVE: u8 = 1 << 4;
 /// other unresolved conditional's bookkeeping write is provably
 /// overwritten before it can be observed, so the scan skips it. Valid
 /// only for the budget the index was sealed under
-/// ([`ReconIndex::br_pct`]); a different runtime budget falls back to
-/// the unindexed scan.
+/// ([`ReconIndex::br_pct`]); a reconstructor running a different budget
+/// builds its own index.
 pub(crate) const BR_F_PHT_FLUSH_LW: u8 = 1 << 5;
 
 impl ReconIndex {
@@ -575,6 +569,7 @@ impl SkipLog {
             log.push_branch(b.pc, b.next_pc, b.target, b.kind, b.taken);
         }
         log.peak_bytes = log.bytes;
+        log.enforce_record_ceiling();
         log
     }
 
@@ -711,17 +706,17 @@ impl SkipLog {
         }
         if let Some(budget) = self.budget {
             if self.bytes > budget {
-                self.discard_over_budget();
+                self.discard_region();
             }
         }
     }
 
-    /// Budget exhausted: discard the region (its history is now
-    /// incomplete) and stop recording. Capacity is kept, so the resident
-    /// footprint stays at the high-water mark already paid, never above
-    /// roughly one budget per worker.
+    /// Budget or record ceiling exceeded: discard the region (its history
+    /// is now incomplete) and stop recording. Capacity is kept, so the
+    /// resident footprint stays at the high-water mark already paid, never
+    /// above roughly one budget per worker.
     #[cold]
-    fn discard_over_budget(&mut self) {
+    fn discard_region(&mut self) {
         self.mem_addr.clear();
         self.mem_side.clear();
         self.mem_tags.clear();
@@ -732,6 +727,14 @@ impl SkipLog {
         self.truncated = true;
         if let Some(ix) = self.index.as_deref_mut() {
             ix.unseal();
+        }
+    }
+
+    /// Truncates the region if either stream reached the indexable
+    /// ceiling. Run once per append call, never per record.
+    fn enforce_record_ceiling(&mut self) {
+        if !self.truncated && over_record_ceiling(self.mem_addr.len(), self.branches.len()) {
+            self.discard_region();
         }
     }
 
@@ -757,6 +760,7 @@ impl SkipLog {
             }
         }
         self.note_instruction();
+        self.enforce_record_ceiling();
     }
 
     /// The fused cold-phase loop: steps `cpu` through `n` instructions,
@@ -771,7 +775,9 @@ impl SkipLog {
     /// never touches the log.
     ///
     /// Produces record streams, budget decisions, and accounting
-    /// bit-identical to calling [`SkipLog::record`] after every step.
+    /// bit-identical to calling [`SkipLog::record`] after every step. The
+    /// record ceiling ([`over_record_ceiling`]) is checked once, after the
+    /// loop: a region past it is truncated like a budget overflow.
     ///
     /// # Errors
     ///
@@ -780,7 +786,7 @@ impl SkipLog {
         if self.truncated || (!self.log_mem && !self.log_branches) {
             return cpu.step_n(n, |_| ());
         }
-        match (self.log_mem, self.log_branches, self.budget.is_some()) {
+        let res = match (self.log_mem, self.log_branches, self.budget.is_some()) {
             (true, true, false) => self.region_loop_fast::<true, true>(cpu, n),
             (true, false, false) => self.region_loop_fast::<true, false>(cpu, n),
             (false, true, false) => self.region_loop_fast::<false, true>(cpu, n),
@@ -788,7 +794,9 @@ impl SkipLog {
             (true, false, true) => self.region_loop::<true, false>(cpu, n),
             (false, true, true) => self.region_loop::<false, true>(cpu, n),
             (false, false, _) => unreachable!("bare fast-forward handled above"),
-        }
+        };
+        self.enforce_record_ceiling();
+        res
     }
 
     /// The budgeted fused loop: per-record pushes with the budget check
@@ -1038,11 +1046,11 @@ impl SkipLog {
     /// Seals the memory-side spans (L1I / L1D / L2) over the current
     /// columns: a counting sort bucketing every record index by set, each
     /// set's span filled newest-first. Idempotent for an unchanged log and
-    /// geometry. A truncated region or one with ≥ `u32::MAX` records is
-    /// left unsealed — its consumers fall back to the full reverse scan.
+    /// geometry. A truncated region holds no history and never
+    /// reconstructs, so it is left unsealed.
     pub fn seal_mem_index(&mut self, geom: &ReconGeometry) {
         let n = self.mem_addr.len();
-        if self.truncated || n >= CHAIN_NONE as usize {
+        if self.truncated {
             return;
         }
         if self.index.as_deref().is_some_and(|ix| ix.geom == *geom && ix.mem_sealed == Some(n)) {
@@ -1056,17 +1064,13 @@ impl SkipLog {
     /// [`SkipLog::seal_mem_index`]'s body over an *external* index — the
     /// per-configuration scratch a sweep replay owns, so N detailed
     /// configurations can each key the same shared, immutable log without
-    /// touching it. Returns whether the memory side sealed (`false` for a
-    /// truncated region or one with ≥ `u32::MAX` records, whose consumers
-    /// fall back to the full reverse scan). `ix` must already be keyed for
-    /// `geom` (see [`ReconIndex::retarget`]).
-    pub(crate) fn build_mem_index_into(&self, geom: &ReconGeometry, ix: &mut ReconIndex) -> bool {
+    /// touching it. `ix` must already be keyed for `geom` (see
+    /// [`ReconIndex::retarget`]). Cannot fail: the record ceiling keeps
+    /// every record index of a log below `u32::MAX`.
+    pub(crate) fn build_mem_index_into(&self, geom: &ReconGeometry, ix: &mut ReconIndex) {
         debug_assert_eq!(ix.geom, *geom, "retarget the index before building");
         let n = self.mem_addr.len();
-        if self.truncated || n >= CHAIN_NONE as usize {
-            ix.mem_sealed = None;
-            return false;
-        }
+        debug_assert!(!over_record_ceiling(n, 0));
         let (l1i_mask, l1d_mask, l2_mask) =
             (geom.l1i_sets - 1, geom.l1d_sets - 1, geom.l2_sets - 1);
 
@@ -1129,7 +1133,6 @@ impl SkipLog {
             ix.l2_idx[l2_cnt[s] as usize] = i as u32;
         }
         ix.mem_sealed = Some(n);
-        true
     }
 
     /// Seals the branch-side columns: the GHR forward pass (§3.2's "last
@@ -1140,10 +1143,10 @@ impl SkipLog {
     /// sequential path, so it could never skip along them (see
     /// [`ReconIndex`]). [`SkipLog::ghr_at_start`] must already hold its
     /// final value — every PHT key hashes the running GHR seeded from it.
-    /// Same idempotence and fallback rules as [`SkipLog::seal_mem_index`].
+    /// Same idempotence and truncation rules as [`SkipLog::seal_mem_index`].
     pub fn seal_branch_index(&mut self, geom: &ReconGeometry, pct: crate::policy::Pct) {
         let n = self.branches.len();
-        if self.truncated || n >= CHAIN_NONE as usize {
+        if self.truncated {
             return;
         }
         if self.index.as_deref().is_some_and(|ix| {
@@ -1162,22 +1165,18 @@ impl SkipLog {
     /// [`SkipLog::seal_branch_index`]'s body over an *external* index,
     /// with the start GHR passed explicitly instead of read from
     /// [`SkipLog::ghr_at_start`] — a sweep replay computes it from its own
-    /// predictor while the shared log stays immutable. Returns whether the
-    /// branch side sealed; `ix` must already be keyed for `geom`.
+    /// predictor while the shared log stays immutable. `ix` must already
+    /// be keyed for `geom`; like the memory side, the build cannot fail.
     pub(crate) fn build_branch_index_into(
         &self,
         geom: &ReconGeometry,
         ghr_at_start: u64,
         pct: crate::policy::Pct,
         ix: &mut ReconIndex,
-    ) -> bool {
+    ) {
         debug_assert_eq!(ix.geom, *geom, "retarget the index before building");
         let n = self.branches.len();
-        if self.truncated || n >= CHAIN_NONE as usize {
-            ix.br_sealed = None;
-            ix.br_pct = None;
-            return false;
-        }
+        debug_assert!(!over_record_ceiling(0, n));
         ix.pht_key.clear();
         ix.pht_key.reserve(n);
         let mask = (1u64 << geom.ghr_bits) - 1;
@@ -1201,8 +1200,7 @@ impl SkipLog {
         // the order and composition the demand scan would perform). The
         // scratch holds one packed state byte per PHT key (stored XOR
         // `PACKED_IDENTITY` so the zero-fill means "no history yet"), one
-        // resolved-bit per PHT key (feeds [`BR_F_PHT_DEAD`]), and one
-        // seen-bit per BTB slot.
+        // resolved-bit per PHT key, and one seen-bit per BTB slot.
         ix.br_flags.clear();
         ix.br_flags.resize(n, 0);
         ix.pht_state.clear();
@@ -1225,15 +1223,12 @@ impl SkipLog {
             let mut flags = 0u8;
             let key = ix.pht_key[i];
             if key != CHAIN_NONE {
-                flags |= BR_F_COND;
                 let k = key as usize;
-                if pht_done[k >> 3] & (1 << (k & 7)) != 0 {
-                    // A newer record already pinned this counter exactly:
-                    // the scan will find the key marked reconstructed, so
-                    // the record is dead (and the composition below would
-                    // never be read — skip it).
-                    flags |= BR_F_PHT_DEAD;
-                } else {
+                // A record older than its key's resolution point is dead:
+                // the monotonic cursor reaches it only after a newer record
+                // pinned and marked the counter (budgets truncate the *old*
+                // end of the scan), so it gets no verdict and no state.
+                if pht_done[k >> 3] & (1 << (k & 7)) == 0 {
                     let next =
                         PACKED_PREPEND[taken as usize][(states[k] ^ PACKED_IDENTITY) as usize];
                     states[k] = next ^ PACKED_IDENTITY;
@@ -1253,7 +1248,6 @@ impl SkipLog {
                 }
             }
             if taken {
-                flags |= BR_F_TAKEN;
                 let slot = ((self.branch_pc(i) >> 2) as usize) & btb_mask;
                 if btb_seen[slot >> 3] & (1 << (slot & 7)) == 0 {
                     btb_seen[slot >> 3] |= 1 << (slot & 7);
@@ -1294,7 +1288,6 @@ impl SkipLog {
         ix.ghr_start = ghr_at_start;
         ix.br_sealed = Some(n);
         ix.br_pct = Some(pct);
-        true
     }
 
     /// The sealed memory-side spans, if they still describe the current
@@ -1389,7 +1382,8 @@ impl SkipLog {
     /// derived from the records (v1 carried neither) and truncation
     /// cleared (a v1 writer never serialized a truncated log's state).
     /// The budget is not serialized: it is a property of the run, so a
-    /// deserialized log is unbounded until [`SkipLog::set_budget`].
+    /// deserialized log is unbounded until [`SkipLog::set_budget`]. A
+    /// stream past the record ceiling deserializes truncated.
     ///
     /// # Errors
     ///
@@ -1403,11 +1397,13 @@ impl SkipLog {
             return Err(invalid("bad skip-log magic"));
         }
         let version = read_u16(&mut r)?;
-        match version {
-            1 => read_v1(r),
-            2 => read_v2(r),
-            _ => Err(invalid(format!("unsupported skip-log version {version}"))),
-        }
+        let mut log = match version {
+            1 => read_v1(r)?,
+            2 => read_v2(r)?,
+            _ => return Err(invalid(format!("unsupported skip-log version {version}"))),
+        };
+        log.enforce_record_ceiling();
+        Ok(log)
     }
 }
 
@@ -1725,6 +1721,15 @@ mod tests {
     #[test]
     fn packed_branch_is_16_bytes() {
         assert_eq!(std::mem::size_of::<PackedBranch>(), 16);
+    }
+
+    #[test]
+    fn record_ceiling_truncates_at_u32_max_in_either_stream() {
+        let last_indexable = u32::MAX as usize - 1;
+        assert!(!over_record_ceiling(last_indexable, last_indexable));
+        assert!(over_record_ceiling(u32::MAX as usize, 0));
+        assert!(over_record_ceiling(0, u32::MAX as usize));
+        assert!(!over_record_ceiling(0, 0));
     }
 
     #[test]

@@ -478,8 +478,8 @@ pub(crate) fn detailed_window(
             outcome.clusters_degraded += 1;
         } else {
             // Eager reconstruction immediately before the cluster, through
-            // the partitioned index (or the sequential full-scan fallback
-            // when the view carries no index for a side).
+            // the partitioned index (built for the call when the view
+            // carries none that fits a side).
             let t = Instant::now();
             if cache {
                 let (stats, timing) = reconstruct_caches_partitioned_with(hier, log, ix.mem, pct);

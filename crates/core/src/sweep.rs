@@ -19,7 +19,7 @@
 //! L1D×GHR grid therefore builds ~5 memory and ~4 branch indexes per
 //! window instead of 20 of each. The sharing is sound because each
 //! consumer checks only its own side's geometry (see
-//! `reverse::geom_matches_hier` and `BpReconstructor::with_index`), and
+//! `reverse::mem_index_for` and `reverse::branch_index_for`), and
 //! because the GHR entering a window is a shift register of *functional*
 //! branch outcomes — configs with equal history width hold bit-equal GHRs
 //! at every window boundary.
@@ -484,13 +484,12 @@ fn reverse_pct(policy: WarmupPolicy) -> Pct {
 /// predictor geometry.
 type MemKey = (usize, u32, usize, u32, usize, u32);
 
-/// The branch-side memo key: the fields `BpReconstructor::with_index`
-/// checks (PHT width, BTB entries, scan budget) plus the GHR entering the
-/// window. The GHR is config-independent for a given history width — it
-/// is a shift register of the *functional* stream's branch outcomes — so
-/// the key collapses across every config sharing `ghr_bits`; carrying the
-/// value keeps the memo sound by construction rather than by that
-/// argument alone.
+/// The branch-side memo key: exactly the fields
+/// `reverse::branch_index_for` checks — PHT width, BTB entries, scan
+/// budget, and the GHR entering the window. The GHR is config-independent
+/// for a given history width — it is a shift register of the
+/// *functional* stream's branch outcomes — so the key collapses across
+/// every config sharing `ghr_bits`.
 type BrKey = (u32, usize, Pct, u64);
 
 fn mem_key(g: &ReconGeometry) -> MemKey {
@@ -534,8 +533,8 @@ impl IndexArena {
 /// fewer distinct keys.
 #[derive(Default)]
 struct MemoScratch {
-    mem: Vec<(MemKey, u32, bool)>,
-    br: Vec<(BrKey, u32, bool)>,
+    mem: Vec<(MemKey, u32)>,
+    br: Vec<(BrKey, u32)>,
     plans: Vec<WindowPlan>,
 }
 
@@ -623,35 +622,35 @@ fn plan_window(
             let mut plan = WindowPlan { mem: None, br: None, ghr };
             if st.want_cache {
                 let key = mem_key(&st.geom);
-                plan.mem = match memo.mem.iter().find(|(k, _, _)| *k == key) {
-                    Some(&(_, slot, ok)) => {
+                plan.mem = Some(match memo.mem.iter().find(|(k, _)| *k == key) {
+                    Some(&(_, slot)) => {
                         *shared += 1;
-                        ok.then_some(slot)
+                        slot
                     }
                     None => {
                         let slot = used as u32;
                         used += 1;
                         let t = Instant::now();
-                        let ok = log.build_mem_index_into(&st.geom, arena.slot(used - 1, st.geom));
+                        log.build_mem_index_into(&st.geom, arena.slot(used - 1, st.geom));
                         st.outcome.phases.warm += t.elapsed();
                         *builds += 1;
-                        memo.mem.push((key, slot, ok));
-                        ok.then_some(slot)
+                        memo.mem.push((key, slot));
+                        slot
                     }
-                };
+                });
             }
             if st.want_bp {
                 let key = (st.geom.ghr_bits, st.geom.btb_entries, st.pct, ghr);
-                plan.br = match memo.br.iter().find(|(k, _, _)| *k == key) {
-                    Some(&(_, slot, ok)) => {
+                plan.br = Some(match memo.br.iter().find(|(k, _)| *k == key) {
+                    Some(&(_, slot)) => {
                         *shared += 1;
-                        ok.then_some(slot)
+                        slot
                     }
                     None => {
                         let slot = used as u32;
                         used += 1;
                         let t = Instant::now();
-                        let ok = log.build_branch_index_into(
+                        log.build_branch_index_into(
                             &st.geom,
                             ghr,
                             st.pct,
@@ -659,10 +658,10 @@ fn plan_window(
                         );
                         st.outcome.phases.warm += t.elapsed();
                         *builds += 1;
-                        memo.br.push((key, slot, ok));
-                        ok.then_some(slot)
+                        memo.br.push((key, slot));
+                        slot
                     }
-                };
+                });
             }
             memo.plans[c] = plan;
             c += 1;

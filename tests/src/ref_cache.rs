@@ -1,15 +1,14 @@
 //! Reference (oracle) cache: the original array-of-structs implementation,
-//! kept verbatim as the behavioral specification for the SoA [`Cache`]
-//! kernels. The equivalence proptests replay identical access and
-//! reconstruction streams through both and require bit-identical outcomes,
-//! statistics, and per-set dumps.
+//! kept verbatim as the behavioral specification for the SoA
+//! [`rsr_cache::Cache`] kernels. The equivalence proptests replay
+//! identical access and reconstruction streams through both and require
+//! bit-identical outcomes, statistics, and per-set dumps.
 //!
 //! Nothing here is on a hot path — clarity over speed.
-//!
-//! [`Cache`]: crate::Cache
 
-use crate::cache::{AccessKind, AccessOutcome, Addr, CacheStats, ReconOutcome};
-use crate::{CacheConfig, WritePolicy};
+use rsr_cache::{
+    AccessKind, AccessOutcome, Addr, CacheConfig, CacheStats, ReconOutcome, WritePolicy,
+};
 
 const NOT_RECON: u8 = u8::MAX;
 
@@ -36,7 +35,7 @@ impl Line {
 
 /// The original set-associative, true-LRU cache with per-line structs.
 ///
-/// Same access and reconstruction semantics as [`crate::Cache`], same
+/// Same access and reconstruction semantics as [`rsr_cache::Cache`], same
 /// statistics, same `dump_set`/`set_tags_mru_order` observers. It omits the
 /// batched span walk (`Cache::reconstruct_span`), which is pinned against
 /// the sequential path by its own tests.
@@ -118,7 +117,8 @@ impl RefCache {
         self.set_lines_ref(set).iter().any(|l| l.valid && l.tag == tag)
     }
 
-    /// Performs one access; see [`crate::Cache::access`] for the contract.
+    /// Performs one access; see [`rsr_cache::Cache::access`] for the
+    /// contract.
     pub fn access(&mut self, addr: Addr, kind: AccessKind) -> AccessOutcome {
         let set = self.set_index(addr);
         let tag = self.tag_of(addr);
@@ -204,7 +204,8 @@ impl RefCache {
         self.recon_counts.iter_mut().for_each(|c| *c = 0);
     }
 
-    /// Clears reconstructed bits; see [`crate::Cache::begin_reconstruction`].
+    /// Clears reconstructed bits; see
+    /// [`rsr_cache::Cache::begin_reconstruction`].
     pub fn begin_reconstruction(&mut self) {
         let assoc = self.cfg.assoc;
         for set in 0..self.num_sets {
@@ -220,7 +221,7 @@ impl RefCache {
     }
 
     /// Applies one logged reference during the reverse scan; see
-    /// [`crate::Cache::reconstruct_ref`] for the rules.
+    /// [`rsr_cache::Cache::reconstruct_ref`] for the rules.
     pub fn reconstruct_ref(&mut self, addr: Addr) -> ReconOutcome {
         let set = self.set_index(addr);
         let assoc = self.cfg.assoc as u8;
@@ -275,7 +276,8 @@ impl RefCache {
         self.complete_sets
     }
 
-    /// Normalizes LRU ranks; see [`crate::Cache::finish_reconstruction`].
+    /// Normalizes LRU ranks; see
+    /// [`rsr_cache::Cache::finish_reconstruction`].
     pub fn finish_reconstruction(&mut self) {
         let assoc = self.cfg.assoc;
         for set in 0..self.num_sets {

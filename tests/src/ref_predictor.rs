@@ -1,7 +1,7 @@
 //! Reference predictor structures: the original array-of-structs /
 //! `Vec`-backed implementations, retained verbatim as oracles.
 //!
-//! The live [`crate::Gshare`] / [`crate::Btb`] / [`crate::Ras`] were
+//! The live [`rsr_branch::Gshare`] / [`rsr_branch::Btb`] / [`rsr_branch::Ras`] were
 //! rebuilt around packed counter words, bitsets, and inline-array
 //! checkpoints for the detailed-window hot path. These types preserve the
 //! previous, obviously-correct layouts with the identical observable API;
@@ -9,7 +9,7 @@
 //! through both and compares predictions, counters, and reconstructed
 //! state exactly. They are not deprecated — they are the specification.
 
-use crate::{Addr, Counter2, RasOp};
+use rsr_branch::{Addr, Counter2, RasOp};
 
 /// The reference gshare: one [`Counter2`] per PHT entry, one `bool` per
 /// reconstructed bit.

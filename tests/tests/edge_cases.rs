@@ -2,11 +2,11 @@
 
 use rsr_branch::{Predictor, PredictorConfig};
 use rsr_cache::{HierarchyConfig, MemHierarchy};
-use rsr_core::{
-    reconstruct_caches, BpReconstructor, Pct, SamplingRegimen, SimError, SkipLog, WarmupPolicy,
-};
+use rsr_core::{BpReconstructor, Pct, SamplingRegimen, SimError, SkipLog, WarmupPolicy};
 use rsr_func::Cpu;
-use rsr_integration::{sample, tiny};
+use rsr_integration::{
+    predictor_state, reconstruct_caches_checked, sample, tiny, RefBpReconstructor,
+};
 use rsr_isa::{Asm, Reg};
 use rsr_timing::{simulate_cluster_hooked, CoreConfig};
 use rsr_workloads::Benchmark;
@@ -18,7 +18,7 @@ fn empty_log_reconstruction_is_a_noop() {
     let log = SkipLog::new(true, true, 0xabcd);
     let mut hier = MemHierarchy::new(HierarchyConfig::paper());
     hier.warm_access(0x4000, rsr_cache::HierAccess::Load);
-    let stats = reconstruct_caches(&mut hier, &log, Pct::new(100));
+    let stats = reconstruct_caches_checked(&mut hier, &log, Pct::new(100));
     assert_eq!(stats.mem_scanned, 0);
     assert!(hier.l1d.probe(0x4000), "stale content must survive");
 
@@ -29,6 +29,13 @@ fn empty_log_reconstruction_is_a_noop() {
     use rsr_timing::PredictHook as _;
     recon.before_predict(&mut pred, 0x1000, rsr_branch::PredCtrlKind::CondBranch);
     assert!(pred.gshare.is_reconstructed(pred.gshare.index(0x1000)));
+
+    // The per-record oracle agrees on every observable.
+    let mut ref_pred = Predictor::new(PredictorConfig::paper());
+    let mut oracle = RefBpReconstructor::new(&mut ref_pred, &log, Pct::new(100));
+    oracle.before_predict(&mut ref_pred, 0x1000, rsr_branch::PredCtrlKind::CondBranch);
+    assert_eq!(recon.stats(), oracle.stats());
+    assert!(predictor_state(&pred) == predictor_state(&ref_pred));
 }
 
 #[test]
@@ -108,13 +115,13 @@ fn reconstruction_bits_isolate_regions() {
     for _ in 0..20_000 {
         log.record(&cpu.step().unwrap());
     }
-    let s1 = reconstruct_caches(&mut hier, &log, Pct::new(100));
+    let s1 = reconstruct_caches_checked(&mut hier, &log, Pct::new(100));
     // Second region with a fresh log over different instructions.
     log.reset(true, false, 0);
     for _ in 0..20_000 {
         log.record(&cpu.step().unwrap());
     }
-    let s2 = reconstruct_caches(&mut hier, &log, Pct::new(100));
+    let s2 = reconstruct_caches_checked(&mut hier, &log, Pct::new(100));
     assert!(s1.cache_inserted > 0 && s2.cache_inserted > 0);
     // The second pass must have re-marked from scratch (its counters are
     // not cumulative with the first).

@@ -6,11 +6,11 @@
 
 use rsr_branch::{Predictor, PredictorConfig};
 use rsr_cache::{HierarchyConfig, MemHierarchy};
-use rsr_core::{
-    reconstruct_caches, BpReconstructor, BranchRecord, MemRecord, Pct, ReconStats, SkipLog,
-};
+use rsr_core::{BpReconstructor, BranchRecord, MemRecord, Pct, ReconStats, SkipLog};
 use rsr_func::{BranchRec, Cpu, MemAccess, Retired};
-use rsr_integration::tiny;
+use rsr_integration::{
+    all_set_tags, predictor_state, reconstruct_caches_checked, tiny, RefBpReconstructor,
+};
 use rsr_isa::{CtrlKind, Inst, MemWidth, Op};
 use rsr_workloads::Benchmark;
 
@@ -150,22 +150,25 @@ fn packed_replay(stream: &[Retired], budget: Option<usize>) -> SkipLog {
     log
 }
 
-/// Full reconstruction state from one log: cache recon stats, every set's
-/// MRU-ordered tags at every level, and the predictor's observable state
-/// after an eager BP pass.
+/// Full reconstruction state from one log through the engine, each half
+/// checked against the tests crate's sequential oracle: cache recon stats,
+/// every set's MRU-ordered tags at every level, and the predictor's
+/// observable state after an eager BP pass.
 fn reconstruct_all(log: &SkipLog, pct: Pct) -> (ReconStats, Vec<Vec<u64>>, u64, ReconStats) {
     let mut hier = MemHierarchy::new(HierarchyConfig::paper());
-    let cache_stats = reconstruct_caches(&mut hier, log, pct);
-    let mut tags = Vec::new();
-    for cache in [&hier.l1i, &hier.l1d, &hier.l2] {
-        for set in 0..cache.num_sets() {
-            tags.push(cache.set_tags_mru_order(set));
-        }
-    }
+    let cache_stats = reconstruct_caches_checked(&mut hier, log, pct);
     let mut pred = Predictor::new(PredictorConfig::default());
     let mut bp = BpReconstructor::new(&mut pred, log, pct);
     bp.exhaust(&mut pred);
-    (cache_stats, tags, pred.gshare.ghr(), bp.stats())
+    let mut ref_pred = Predictor::new(PredictorConfig::default());
+    let mut oracle = RefBpReconstructor::new(&mut ref_pred, log, pct);
+    oracle.exhaust(&mut ref_pred);
+    assert_eq!(bp.stats(), oracle.stats(), "BP ReconStats diverged from the oracle at {pct:?}");
+    assert!(
+        predictor_state(&pred) == predictor_state(&ref_pred),
+        "predictor state diverged from the oracle at {pct:?}"
+    );
+    (cache_stats, all_set_tags(&hier), pred.gshare.ghr(), bp.stats())
 }
 
 #[test]

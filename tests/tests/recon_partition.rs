@@ -1,34 +1,29 @@
-//! Set-partitioned reconstruction-index equivalence: the index-driven
-//! reverse scan (`reconstruct_caches_partitioned`, and the indexed
-//! `BpReconstructor` fast path) must be bit-identical to the sequential
-//! full reverse scan — same `ReconStats`, same cache contents in MRU
-//! order, same reconstructed predictor state — for arbitrary record
-//! streams, including ext-spill records, over-budget truncated logs, and
-//! logs mutated after sealing.
+//! Reconstruction-index equivalence: the engine's one reverse
+//! reconstruction path — the index-driven per-set cache walk
+//! (`reconstruct_caches_partitioned`) and the indexed `BpReconstructor` —
+//! must be bit-identical to the tests crate's sequential oracles
+//! (`reconstruct_caches_sequential`, `RefBpReconstructor`): same
+//! `ReconStats`, same cache contents in MRU order, same reconstructed
+//! predictor state. Inputs cover arbitrary record streams (ext-spill
+//! records, over-budget truncated logs, logs mutated after sealing), each
+//! presented sealed for the machine, unsealed, sealed for another
+//! geometry, and sealed under another scan budget: the public entry points
+//! must give the sealed result on every one.
 
 use proptest::prelude::*;
 use rsr_branch::{PredCtrlKind, Predictor};
 use rsr_cache::MemHierarchy;
 use rsr_core::{
-    reconstruct_caches, reconstruct_caches_partitioned, BpReconstructor, MachineConfig, Pct,
-    ReconGeometry, RunSpec, SampleOutcome, SamplingRegimen, SkipLog, WarmupPolicy,
+    reconstruct_caches_partitioned, BpReconstructor, MachineConfig, Pct, ReconGeometry, RunSpec,
+    SampleOutcome, SamplingRegimen, SkipLog, WarmupPolicy,
 };
 use rsr_func::{BranchRec, Cpu, MemAccess, Retired};
-use rsr_integration::{machine, tiny};
+use rsr_integration::{
+    all_set_tags, machine, predictor_state, reconstruct_caches_sequential, tiny, RefBpReconstructor,
+};
 use rsr_isa::{CtrlKind, Inst, MemWidth, Op};
+use rsr_timing::PredictHook;
 use rsr_workloads::Benchmark;
-
-/// Every set's MRU-ordered tags at every level — the full observable cache
-/// state a reconstruction pass produces.
-fn all_set_tags(hier: &MemHierarchy) -> Vec<Vec<u64>> {
-    let mut tags = Vec::new();
-    for cache in [&hier.l1i, &hier.l1d, &hier.l2] {
-        for set in 0..cache.num_sets() {
-            tags.push(cache.set_tags_mru_order(set));
-        }
-    }
-    tags
-}
 
 /// Synthesizes an adversarial retired stream from raw words: 64-bit PCs
 /// and targets that force ext-spill records, non-sequential next PCs, and
@@ -88,56 +83,86 @@ fn workload_stream(bench: Benchmark, n: u64) -> Vec<Retired> {
     (0..n).map(|_| cpu.step().unwrap()).collect()
 }
 
-/// Asserts that sealing the log and walking its per-set chains reproduces
-/// the sequential full scan exactly.
+/// The presentations of one log the public entry points must reconstruct
+/// identically, the sealed production input first: sealed for `machine`
+/// at `pct`, as given (unsealed, or carrying a stale seal), sealed for
+/// another geometry on both sides, and branch-sealed under another scan
+/// budget.
+fn log_variants(machine: &MachineConfig, log: &SkipLog, pct: Pct) -> Vec<(&'static str, SkipLog)> {
+    let geom = ReconGeometry::of_machine(machine);
+    let other_geom = ReconGeometry {
+        l1i_sets: geom.l1i_sets * 2,
+        l1d_sets: geom.l1d_sets * 2,
+        l2_sets: geom.l2_sets / 2,
+        ghr_bits: geom.ghr_bits - 1,
+        btb_entries: geom.btb_entries * 2,
+        ..geom
+    };
+    let other_pct = if pct == Pct::new(100) { Pct::new(50) } else { Pct::new(100) };
+    let sealed_with = |mem: &ReconGeometry, br: &ReconGeometry, br_pct: Pct| {
+        let mut l = log.clone();
+        l.seal_mem_index(mem);
+        l.seal_branch_index(br, br_pct);
+        l
+    };
+    vec![
+        ("sealed", sealed_with(&geom, &geom, pct)),
+        ("as given", log.clone()),
+        ("wrong geometry", sealed_with(&other_geom, &other_geom, pct)),
+        ("wrong pct", sealed_with(&geom, &geom, other_pct)),
+    ]
+}
+
+/// Asserts that every presentation of the log reconstructs the caches
+/// exactly like the sealed production input and like the sequential
+/// oracle.
 fn assert_cache_equivalence(machine: &MachineConfig, log: &SkipLog, pct: Pct, what: &str) {
-    let mut sealed = log.clone();
-    sealed.seal_mem_index(&ReconGeometry::of_machine(machine));
-    let mut ref_hier = MemHierarchy::new(machine.hier.clone());
-    let ref_stats = reconstruct_caches(&mut ref_hier, log, pct);
-    let mut hier = MemHierarchy::new(machine.hier.clone());
-    let (stats, _) = reconstruct_caches_partitioned(&mut hier, &sealed, pct, 1);
-    assert_eq!(stats, ref_stats, "{what}: ReconStats, {pct:?}");
-    assert_eq!(all_set_tags(&hier), all_set_tags(&ref_hier), "{what}: cache tags, {pct:?}");
+    let mut oracle_hier = MemHierarchy::new(machine.hier.clone());
+    let oracle =
+        (reconstruct_caches_sequential(&mut oracle_hier, log, pct), all_set_tags(&oracle_hier));
+    let mut sealed = None;
+    for (variant, input) in log_variants(machine, log, pct) {
+        let mut hier = MemHierarchy::new(machine.hier.clone());
+        let (stats, _) = reconstruct_caches_partitioned(&mut hier, &input, pct, 1);
+        let got = (stats, all_set_tags(&hier));
+        assert_eq!(got.0, oracle.0, "{what} ({variant}): ReconStats vs oracle, {pct:?}");
+        assert_eq!(got.1, oracle.1, "{what} ({variant}): cache tags vs oracle, {pct:?}");
+        let sealed = sealed.get_or_insert_with(|| got.clone());
+        assert_eq!(&got, sealed, "{what} ({variant}): result vs sealed input, {pct:?}");
+    }
 }
 
-/// Asserts that the indexed branch-predictor reconstruction (sealed
-/// pht-key column + final GHR) matches the legacy forward-pass path on
-/// every observable: stats, GHR, full PHT contents, and BTB targets.
+/// Asserts that the eager (`exhaust`) reconstruction of every presentation
+/// of the log matches the sealed production input and the per-record
+/// oracle on every observable: stats, GHR, full PHT and BTB contents with
+/// their reconstructed bits, and the RAS.
 fn assert_bp_equivalence(machine: &MachineConfig, log: &SkipLog, pct: Pct, what: &str) {
-    let mut sealed = log.clone();
-    sealed.seal_branch_index(&ReconGeometry::of_machine(machine), pct);
-
     let mut ref_pred = Predictor::new(machine.pred);
-    let mut ref_bp = BpReconstructor::new(&mut ref_pred, log, pct);
+    let mut ref_bp = RefBpReconstructor::new(&mut ref_pred, log, pct);
     ref_bp.exhaust(&mut ref_pred);
+    let oracle = (ref_bp.stats(), predictor_state(&ref_pred));
 
-    let mut pred = Predictor::new(machine.pred);
-    let mut bp = BpReconstructor::new(&mut pred, &sealed, pct);
-    bp.exhaust(&mut pred);
-
-    assert_eq!(bp.stats(), ref_bp.stats(), "{what}: BP ReconStats, {pct:?}");
-    assert_eq!(pred.gshare.ghr(), ref_pred.gshare.ghr(), "{what}: GHR, {pct:?}");
-    for i in 0..pred.gshare.num_entries() {
-        assert_eq!(
-            pred.gshare.counter_at(i),
-            ref_pred.gshare.counter_at(i),
-            "{what}: PHT entry {i}, {pct:?}"
-        );
-    }
-    for i in 0..pred.btb.num_entries() {
-        let pc = (i as u64) << 2;
-        assert_eq!(pred.btb.peek(pc), ref_pred.btb.peek(pc), "{what}: BTB entry {i}, {pct:?}");
+    let mut sealed = None;
+    for (variant, input) in log_variants(machine, log, pct) {
+        let mut pred = Predictor::new(machine.pred);
+        let mut bp = BpReconstructor::new(&mut pred, &input, pct);
+        bp.exhaust(&mut pred);
+        let got = (bp.stats(), predictor_state(&pred));
+        assert_eq!(got.0, oracle.0, "{what} ({variant}): BP ReconStats vs oracle, {pct:?}");
+        assert!(got.1 == oracle.1, "{what} ({variant}): predictor state vs oracle, {pct:?}");
+        let sealed = sealed.get_or_insert_with(|| got.clone());
+        assert!(&got == sealed, "{what} ({variant}): BP result vs sealed input, {pct:?}");
     }
 }
 
-/// Asserts that the *demand-driven* indexed scan — hot-worklist hops,
-/// sealed flush last-writer bits, mid-sequence exhaustion flush — matches
-/// the legacy per-record demand scan on every observable. This is the
-/// path the sampler actually exercises; `exhaust` above shares the flush
-/// but not the scan loop, so only a demand sequence pins the sealed
-/// `BR_F_PHT_FLUSH_LW` placement (which feed survives to the flush, and
-/// relative to which budget window) against the incremental reference.
+/// Asserts that the *demand-driven* scan — hot-worklist hops, sealed
+/// flush last-writer bits, mid-sequence exhaustion flush — matches the
+/// oracle's per-record demand scan on every observable, for every
+/// presentation of the log. This is the path the sampler actually
+/// exercises; `exhaust` above shares the flush but never stops early, so
+/// only a demand sequence pins the sealed `BR_F_PHT_FLUSH_LW` placement
+/// (which feed survives to the flush, and relative to which budget window)
+/// against the incremental reference.
 fn assert_bp_demand_equivalence(
     machine: &MachineConfig,
     log: &SkipLog,
@@ -145,10 +170,6 @@ fn assert_bp_demand_equivalence(
     pct: Pct,
     what: &str,
 ) {
-    use rsr_timing::PredictHook as _;
-    let mut sealed = log.clone();
-    sealed.seal_branch_index(&ReconGeometry::of_machine(machine), pct);
-
     // Forward replay of the region's own branch PCs: the demands the
     // detailed cluster would actually issue, in order, against both scan
     // paths. (Only `before_predict` runs — the GHR stays at its
@@ -167,33 +188,24 @@ fn assert_bp_demand_equivalence(
         .collect();
 
     let mut ref_pred = Predictor::new(machine.pred);
-    let mut ref_bp = BpReconstructor::new(&mut ref_pred, log, pct);
+    let mut ref_bp = RefBpReconstructor::new(&mut ref_pred, log, pct);
     for &(pc, kind) in &probes {
         ref_bp.before_predict(&mut ref_pred, pc, kind);
     }
+    let oracle = (ref_bp.stats(), predictor_state(&ref_pred));
 
-    let mut pred = Predictor::new(machine.pred);
-    let mut bp = BpReconstructor::new(&mut pred, &sealed, pct);
-    for &(pc, kind) in &probes {
-        bp.before_predict(&mut pred, pc, kind);
-    }
-
-    assert_eq!(bp.stats(), ref_bp.stats(), "{what}: demand BP ReconStats, {pct:?}");
-    assert_eq!(pred.gshare.ghr(), ref_pred.gshare.ghr(), "{what}: demand GHR, {pct:?}");
-    for i in 0..pred.gshare.num_entries() {
-        assert_eq!(
-            pred.gshare.counter_at(i),
-            ref_pred.gshare.counter_at(i),
-            "{what}: demand PHT entry {i}, {pct:?}"
-        );
-    }
-    for i in 0..pred.btb.num_entries() {
-        let pc = (i as u64) << 2;
-        assert_eq!(
-            pred.btb.peek(pc),
-            ref_pred.btb.peek(pc),
-            "{what}: demand BTB entry {i}, {pct:?}"
-        );
+    let mut sealed = None;
+    for (variant, input) in log_variants(machine, log, pct) {
+        let mut pred = Predictor::new(machine.pred);
+        let mut bp = BpReconstructor::new(&mut pred, &input, pct);
+        for &(pc, kind) in &probes {
+            bp.before_predict(&mut pred, pc, kind);
+        }
+        let got = (bp.stats(), predictor_state(&pred));
+        assert_eq!(got.0, oracle.0, "{what} ({variant}): demand BP ReconStats vs oracle, {pct:?}");
+        assert!(got.1 == oracle.1, "{what} ({variant}): demand predictor state vs oracle, {pct:?}");
+        let sealed = sealed.get_or_insert_with(|| got.clone());
+        assert!(&got == sealed, "{what} ({variant}): demand BP result vs sealed input, {pct:?}");
     }
 }
 
@@ -202,7 +214,7 @@ proptest! {
 
     /// Arbitrary synthetic record streams (ext-spill PCs and targets,
     /// every control kind, random stores) reconstruct bit-identically
-    /// through the partitioned index at any budget.
+    /// through the index at any budget, however the log is presented.
     #[test]
     fn prop_indexed_recon_matches_full_scan(
         words in proptest::collection::vec(any::<u64>(), 1..400),
@@ -217,8 +229,8 @@ proptest! {
         assert_bp_demand_equivalence(&machine, &log, &stream, pct, "synthetic");
     }
 
-    /// Over-budget logs truncate to empty; both paths must agree that
-    /// there is nothing to reconstruct.
+    /// Over-budget logs truncate to empty; the engine and the oracles must
+    /// agree that there is nothing to reconstruct.
     #[test]
     fn prop_truncated_logs_stay_equivalent(
         words in proptest::collection::vec(any::<u64>(), 50..300),
@@ -249,10 +261,10 @@ fn workload_streams_reconstruct_identically() {
 }
 
 #[test]
-fn stale_seal_falls_back_to_the_full_scan() {
+fn stale_seal_is_reindexed_for_the_call() {
     // Records appended after sealing invalidate the index (sealed lengths
-    // no longer match); reconstruction must silently take the sequential
-    // path and still agree with the reference.
+    // no longer match); reconstruction must index the log afresh and
+    // still agree with the oracles.
     let machine = machine();
     let stream = workload_stream(Benchmark::Twolf, 20_000);
     let mut log = log_from(&stream[..15_000], None);

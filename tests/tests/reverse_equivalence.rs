@@ -3,9 +3,9 @@
 
 use rsr_branch::{Predictor, PredictorConfig};
 use rsr_cache::{HierAccess, HierarchyConfig, MemHierarchy};
-use rsr_core::{reconstruct_caches, Pct, SkipLog};
+use rsr_core::{Pct, SkipLog};
 use rsr_func::Cpu;
-use rsr_integration::tiny;
+use rsr_integration::{reconstruct_caches_checked, tiny};
 use rsr_workloads::Benchmark;
 
 /// Forward-warm a hierarchy and log the same stream; reconstruct a second
@@ -27,7 +27,7 @@ fn warm_and_reconstruct(bench: Benchmark, insts: u64) -> (MemHierarchy, MemHiera
         assert_eq!(r.pc, r2.pc, "functional simulation must be deterministic");
         log.record(&r2);
     }
-    reconstruct_caches(&mut rev, &log, Pct::new(100));
+    reconstruct_caches_checked(&mut rev, &log, Pct::new(100));
     (fwd, rev)
 }
 
@@ -111,7 +111,7 @@ fn loads_only_l1d_reverse_equals_forward() {
         }
         log.record(&r);
     }
-    reconstruct_caches(&mut rev, &log, Pct::new(100));
+    reconstruct_caches_checked(&mut rev, &log, Pct::new(100));
     for set in 0..fwd.l1d.num_sets() {
         assert_eq!(
             fwd.l1d.set_tags_mru_order(set),
