@@ -9,6 +9,18 @@ cargo build --release --workspace
 # building it here makes an API change that breaks it fail CI, not the
 # benchmark run.
 cargo build --release --offline --manifest-path perfbench/Cargo.toml
+# The harness's traced run re-enacts the engine's window loop through the
+# public API, sealing whole-log memory indexes, and checks its estimates
+# against the engine's own runs, which seal only the scan window. Hard
+# everywhere: the gate is on determinism (bit-identical reconstruction
+# under both seals), not timing. About 9 s on a 2-core host.
+trace_result=$(cargo run --release --offline -q --manifest-path perfbench/Cargo.toml -- \
+  --workload gcc-branchy --seed 1 --seconds 1 --trace 1 | tail -1)
+if ! grep -q '"correct": true' <<<"$trace_result" || ! grep -q '"failed": 0' <<<"$trace_result"; then
+  echo "ci: perfbench traced run failed its checks: $trace_result"
+  exit 1
+fi
+echo "ci: perfbench traced run ok (gcc-branchy: correct, 0 failed)"
 cargo test -q --workspace
 # The supervision layer's fault matrix, by name: a fast, loud signal when
 # only the fault-tolerance paths regress.

@@ -100,7 +100,7 @@ fn main() {
         for w in schedule.windows() {
             log.reset(true, true, pred.gshare.ghr());
             log.record_region(&mut cpu, w.start - pos).expect("skip");
-            log.seal_mem_index(&geom);
+            log.seal_mem_window(&geom, pct);
             log.seal_branch_index(&geom, pct);
             reconstruct_caches_partitioned(&mut hier, &log, pct, 1);
             let mut recon = BpReconstructor::new(&mut pred, &log, pct);

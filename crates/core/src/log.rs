@@ -48,6 +48,8 @@ use rsr_branch::{PACKED_IDENTITY, PACKED_PREPEND};
 use rsr_func::{Cpu, ExecError, RetireSink, Retired};
 use rsr_isa::{Addr, CtrlKind};
 
+use crate::policy::Pct;
+
 /// One logged memory reference (materialized view; storage is packed).
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct MemRecord {
@@ -374,27 +376,36 @@ impl ReconGeometry {
 /// newest-first u32 record-index spans over the log's SoA columns, plus
 /// the branch side's sealed PHT-key column and final GHR.
 ///
+/// Both sides cover only a *scan window*, the newest records of the log:
+/// the percentage parameter limits reconstruction to the last `pct` of
+/// the trace (paper §3), so records older than the window are logged but
+/// never read. The memory side covers `mem_from..mem_len` and serves any
+/// scan whose cut is at or after `mem_from` (a wider seal serves a
+/// narrower budget); the branch side covers exactly its sealed budget's
+/// window, `br_from..branch_len`.
+///
 /// The memory side is a counting sort per level: `off[set]..off[set+1]`
 /// delimits set `set`'s span in the `idx` column, filled so each span
-/// holds strictly descending record indices — exactly the newest-first
-/// order the reverse scan consumes, but *contiguous*, so a set walk is a
-/// linear read plus independent gathers from the address column (no
-/// pointer chasing; the equivalent tail-chain layout measured ~1.6×
-/// slower on mcf because every link was a dependent cache miss). Resident
-/// cost is ~4 B per record per indexed level (records are *indexed*,
-/// never copied) plus one u32 per set; identical to the chain layout it
-/// replaces.
+/// holds strictly descending absolute record indices — exactly the
+/// newest-first order the reverse scan consumes, but *contiguous*, so a
+/// set walk is a linear read plus independent gathers from the address
+/// column (no pointer chasing; the equivalent tail-chain layout measured
+/// ~1.6× slower on mcf because every link was a dependent cache miss).
+/// Resident cost is ~4 B per *window* record per indexed level (records
+/// are *indexed*, never copied) plus one u32 per set.
 ///
 /// The L1I and L1D spans are disjoint by construction: every memory
 /// record is an instruction *or* a data reference, so the two `idx`
-/// columns together hold each record index exactly once.
+/// columns together hold each window record index exactly once.
 ///
 /// The branch side deliberately has **no** per-entry spans: the demand
 /// scan's shared reverse cursor must consume every passed record to stay
 /// bit-identical to the sequential path (each passed record feeds other
 /// entries' inferences and the BTB), so an entry-skipping walk is
 /// unusable. What *can* move to seal time is the GHR forward pass: the
-/// per-record PHT keys and the region-final GHR.
+/// per-record PHT keys and the region-final GHR. The forward pass starts
+/// at the window, from the GHR a back-walk over the newest `ghr_bits`
+/// conditionals before it rebuilds ([`SkipLog::ghr_entering`]).
 ///
 /// A record index ≥ `u32::MAX` cannot be indexed, so no non-truncated log
 /// holds that many records in either stream ([`over_record_ceiling`]):
@@ -406,12 +417,18 @@ pub(crate) struct ReconIndex {
     /// Memory-side spans are valid for exactly this `mem_len` (`None` =
     /// not sealed).
     mem_sealed: Option<usize>,
+    /// First memory record the spans index: they serve a scan whose cut is
+    /// at or after it.
+    pub(crate) mem_from: usize,
     /// Branch-side columns are valid for exactly this `branch_len`.
     br_sealed: Option<usize>,
+    /// First branch record of the sealed budget's window: `pht_key`,
+    /// `br_flags` and `pht_state` entry `j` describe record `br_from + j`.
+    pub(crate) br_from: usize,
     /// Scan budget percentage the branch-side flags were sealed under —
     /// [`BR_F_PHT_FLUSH_LW`] placement depends on the budget window, so a
     /// reconstructor running a different budget must not use the index.
-    pub(crate) br_pct: Option<crate::policy::Pct>,
+    pub(crate) br_pct: Option<Pct>,
     /// L1I span bounds: set `s` owns `l1i_idx[l1i_off[s]..l1i_off[s+1]]`.
     pub(crate) l1i_off: Vec<u32>,
     /// Instruction record indices, newest-first within each set span.
@@ -422,28 +439,32 @@ pub(crate) struct ReconIndex {
     pub(crate) l1d_idx: Vec<u32>,
     /// Unified-L2 span bounds.
     pub(crate) l2_off: Vec<u32>,
-    /// All memory record indices, newest-first within each L2 set span.
+    /// Every window memory record index, newest-first within each L2 set
+    /// span.
     pub(crate) l2_idx: Vec<u32>,
-    /// PHT index probed by each branch record (`CHAIN_NONE` for
-    /// non-conditional records), from the sealed GHR forward pass.
+    /// PHT index probed by each window branch record (`CHAIN_NONE` for
+    /// non-conditional records), from the sealed GHR forward pass;
+    /// relative to `br_from`.
     pub(crate) pht_key: Vec<u32>,
     /// Per-record scan verdicts ([`BR_F_BTB_LW`] / [`BR_F_PHT_RESOLVE`] /
     /// [`BR_F_PHT_FLUSH_LW`]): everything the demand scan needs about a
     /// record, in one byte, so it never decodes the packed meta column.
+    /// Relative to `br_from`.
     pub(crate) br_flags: Vec<u8>,
-    /// Compacted demand-scan worklist: indices of the in-budget records
-    /// with any effectful flag ([`BR_F_PHT_RESOLVE`] / [`BR_F_PHT_FLUSH_LW`]
-    /// / [`BR_F_BTB_LW`]), descending (newest-first). Every other record
-    /// in the window is a proven no-op, so the scan hops this list and
-    /// accounts the skipped runs arithmetically instead of iterating
-    /// 1-by-1 over the flags column.
+    /// Compacted demand-scan worklist: absolute indices of the window
+    /// records with any effectful flag ([`BR_F_PHT_RESOLVE`] /
+    /// [`BR_F_PHT_FLUSH_LW`] / [`BR_F_BTB_LW`]), descending
+    /// (newest-first). Every other record in the window is a proven no-op,
+    /// so the scan hops this list and accounts the skipped runs
+    /// arithmetically instead of iterating 1-by-1 over the flags column.
     pub(crate) br_hot: Vec<u32>,
-    /// Packed [`rsr_branch::StateMap`] of record *i*'s PHT entry after the
-    /// newest-first scan has consumed record *i* — the counter-inference
-    /// state precomputed at seal time (meaningful for conditional records
-    /// only). Because reconstructed marks are monotonic within a region,
-    /// the demand scan's incremental inference state at any feed it
-    /// actually performs equals this pure function of the log suffix.
+    /// Packed [`rsr_branch::StateMap`] of a window record's PHT entry after
+    /// the newest-first scan has consumed it — the counter-inference state
+    /// precomputed at seal time (meaningful for conditional records only);
+    /// relative to `br_from`. Because reconstructed marks are monotonic
+    /// within a region, the demand scan's incremental inference state at
+    /// any feed it actually performs equals this pure function of the log
+    /// suffix.
     pub(crate) pht_state: Vec<u8>,
     /// GHR after the whole region (what `Gshare::set_ghr` must receive).
     pub(crate) ghr_final: u64,
@@ -459,7 +480,7 @@ pub(crate) struct ReconIndex {
 }
 
 /// [`ReconIndex::br_flags`] bit: *last writer* of its BTB slot — the
-/// newest taken record mapping to that slot in the whole region. In the
+/// newest taken record mapping to that slot in the scan window. In the
 /// newest-first scan only the first record to reach an unmarked slot ever
 /// writes it, and marks are monotonic, so every non-last-writer record is
 /// a guaranteed no-op: a newer record for the slot was scanned earlier
@@ -492,7 +513,9 @@ impl ReconIndex {
         ReconIndex {
             geom,
             mem_sealed: None,
+            mem_from: 0,
             br_sealed: None,
+            br_from: 0,
             br_pct: None,
             l1i_off: Vec::new(),
             l1i_idx: Vec::new(),
@@ -1043,34 +1066,55 @@ impl SkipLog {
         }
     }
 
-    /// Seals the memory-side spans (L1I / L1D / L2) over the current
-    /// columns: a counting sort bucketing every record index by set, each
-    /// set's span filled newest-first. Idempotent for an unchanged log and
-    /// geometry. A truncated region holds no history and never
-    /// reconstructs, so it is left unsealed.
+    /// Seals the memory-side spans (L1I / L1D / L2) over the whole log:
+    /// [`SkipLog::seal_mem_window`] at 100 %, which serves a reverse scan
+    /// at any budget.
     pub fn seal_mem_index(&mut self, geom: &ReconGeometry) {
+        self.seal_mem_window(geom, Pct::new(100));
+    }
+
+    /// Seals the memory-side spans (L1I / L1D / L2) over the scan window
+    /// of budget `pct`, the newest `pct.of(mem_len)` records: a counting
+    /// sort bucketing every window record index by set, each set's span
+    /// filled newest-first. The seal serves a reverse scan at `pct` or any
+    /// narrower budget. Idempotent for an unchanged log and geometry when
+    /// the sealed window already covers this one. A truncated region holds
+    /// no history and never reconstructs, so it is left unsealed.
+    pub fn seal_mem_window(&mut self, geom: &ReconGeometry, pct: Pct) {
         let n = self.mem_addr.len();
         if self.truncated {
             return;
         }
-        if self.index.as_deref().is_some_and(|ix| ix.geom == *geom && ix.mem_sealed == Some(n)) {
+        let from = n - pct.of(n);
+        if self
+            .index
+            .as_deref()
+            .is_some_and(|ix| ix.geom == *geom && ix.mem_sealed == Some(n) && ix.mem_from <= from)
+        {
             return;
         }
         let mut ix = self.take_index(geom);
-        self.build_mem_index_into(geom, &mut ix);
+        self.build_mem_index_into(geom, from, &mut ix);
         self.index = Some(ix);
     }
 
-    /// [`SkipLog::seal_mem_index`]'s body over an *external* index — the
+    /// [`SkipLog::seal_mem_window`]'s body over an *external* index — the
     /// per-configuration scratch a sweep replay owns, so N detailed
     /// configurations can each key the same shared, immutable log without
-    /// touching it. `ix` must already be keyed for `geom` (see
-    /// [`ReconIndex::retarget`]). Cannot fail: the record ceiling keeps
-    /// every record index of a log below `u32::MAX`.
-    pub(crate) fn build_mem_index_into(&self, geom: &ReconGeometry, ix: &mut ReconIndex) {
+    /// touching it — indexing records `from..mem_len`. `ix` must already
+    /// be keyed for `geom` (see [`ReconIndex::retarget`]). Cannot fail:
+    /// the record ceiling keeps every record index of a log below
+    /// `u32::MAX`.
+    pub(crate) fn build_mem_index_into(
+        &self,
+        geom: &ReconGeometry,
+        from: usize,
+        ix: &mut ReconIndex,
+    ) {
         debug_assert_eq!(ix.geom, *geom, "retarget the index before building");
         let n = self.mem_addr.len();
         debug_assert!(!over_record_ceiling(n, 0));
+        debug_assert!(from <= n);
         let (l1i_mask, l1d_mask, l2_mask) =
             (geom.l1i_sets - 1, geom.l1d_sets - 1, geom.l2_sets - 1);
 
@@ -1081,7 +1125,7 @@ impl SkipLog {
         ix.scratch.resize(geom.l1i_sets + geom.l1d_sets + geom.l2_sets, 0);
         let (l1_cnt, l2_cnt) = ix.scratch.split_at_mut(geom.l1i_sets + geom.l1d_sets);
         let (l1i_cnt, l1d_cnt) = l1_cnt.split_at_mut(geom.l1i_sets);
-        for i in 0..n {
+        for i in from..n {
             let addr = self.mem_addr[i];
             if self.mem_tag(i) & 1 != 0 {
                 l1i_cnt[((addr >> geom.l1i_line_shift) as usize) & l1i_mask] += 1;
@@ -1116,8 +1160,8 @@ impl SkipLog {
         ix.l1d_idx.clear();
         ix.l1d_idx.resize(n_l1d, 0);
         ix.l2_idx.clear();
-        ix.l2_idx.resize(n, 0);
-        for i in 0..n {
+        ix.l2_idx.resize(n - from, 0);
+        for i in from..n {
             let addr = self.mem_addr[i];
             if self.mem_tag(i) & 1 != 0 {
                 let s = ((addr >> geom.l1i_line_shift) as usize) & l1i_mask;
@@ -1133,18 +1177,21 @@ impl SkipLog {
             ix.l2_idx[l2_cnt[s] as usize] = i as u32;
         }
         ix.mem_sealed = Some(n);
+        ix.mem_from = from;
     }
 
-    /// Seals the branch-side columns: the GHR forward pass (§3.2's "last
-    /// *n* branches" walk, done once here instead of per reconstructor)
-    /// yielding every record's PHT key and the region-final GHR. No
-    /// per-entry spans are built — the demand scan's shared cursor must
-    /// consume every record it passes to stay bit-identical to the
-    /// sequential path, so it could never skip along them (see
-    /// [`ReconIndex`]). [`SkipLog::ghr_at_start`] must already hold its
-    /// final value — every PHT key hashes the running GHR seeded from it.
-    /// Same idempotence and truncation rules as [`SkipLog::seal_mem_index`].
-    pub fn seal_branch_index(&mut self, geom: &ReconGeometry, pct: crate::policy::Pct) {
+    /// Seals the branch-side columns over the scan window of budget `pct`:
+    /// the GHR forward pass (§3.2's "last *n* branches" walk, done once
+    /// here instead of per reconstructor) yielding every window record's
+    /// PHT key and the region-final GHR, then the reverse pass placing the
+    /// scan verdicts. No per-entry spans are built — the demand scan's
+    /// shared cursor must consume every record it passes to stay
+    /// bit-identical to the sequential path, so it could never skip along
+    /// them (see [`ReconIndex`]). [`SkipLog::ghr_at_start`] must already
+    /// hold its final value — every PHT key hashes the running GHR seeded
+    /// from it. Idempotent for an unchanged log, geometry, budget and start
+    /// GHR; a truncated region is left unsealed.
+    pub fn seal_branch_index(&mut self, geom: &ReconGeometry, pct: Pct) {
         let n = self.branches.len();
         if self.truncated {
             return;
@@ -1162,6 +1209,30 @@ impl SkipLog {
         self.index = Some(ix);
     }
 
+    /// The GHR a forward pass seeded with `ghr_at_start` holds entering
+    /// branch record `from`: the newest `ghr_bits` conditional outcomes
+    /// before `from`, newest in bit 0, shifted over `ghr_at_start` when
+    /// there are fewer of them. With none at all the GHR is `ghr_at_start`
+    /// as given (unmasked), exactly as a forward pass leaves it. The walk
+    /// runs backwards, so it reads only as far as those outcomes reach.
+    pub(crate) fn ghr_entering(&self, from: usize, ghr_at_start: u64, ghr_bits: u32) -> u64 {
+        let (mut outcomes, mut count) = (0u64, 0u32);
+        for i in (0..from).rev() {
+            if count == ghr_bits {
+                break;
+            }
+            let (kind, taken) = self.branch_kind_taken(i);
+            if kind == CtrlKind::CondBranch {
+                outcomes |= u64::from(taken) << count;
+                count += 1;
+            }
+        }
+        if count == 0 {
+            return ghr_at_start;
+        }
+        ((ghr_at_start << count) | outcomes) & ((1u64 << ghr_bits) - 1)
+    }
+
     /// [`SkipLog::seal_branch_index`]'s body over an *external* index,
     /// with the start GHR passed explicitly instead of read from
     /// [`SkipLog::ghr_at_start`] — a sweep replay computes it from its own
@@ -1171,17 +1242,19 @@ impl SkipLog {
         &self,
         geom: &ReconGeometry,
         ghr_at_start: u64,
-        pct: crate::policy::Pct,
+        pct: Pct,
         ix: &mut ReconIndex,
     ) {
         debug_assert_eq!(ix.geom, *geom, "retarget the index before building");
         let n = self.branches.len();
         debug_assert!(!over_record_ceiling(0, n));
+        let from = n - pct.of(n);
+        let len = n - from;
         ix.pht_key.clear();
-        ix.pht_key.reserve(n);
+        ix.pht_key.reserve(len);
         let mask = (1u64 << geom.ghr_bits) - 1;
-        let mut ghr = ghr_at_start;
-        for i in 0..n {
+        let mut ghr = self.ghr_entering(from, ghr_at_start, geom.ghr_bits);
+        for i in from..n {
             let (kind, taken) = self.branch_kind_taken(i);
             // Replicates `Gshare::index_with` on the running GHR: the key
             // a `BpReconstructor` forward pass would compute for record i.
@@ -1195,55 +1268,52 @@ impl SkipLog {
             ix.pht_key.push(key);
         }
 
-        // Reverse pass: per-record scan flags, last-writer BTB bits, and
-        // the precomputed counter-inference state (newest-first, exactly
-        // the order and composition the demand scan would perform). The
-        // scratch holds one packed state byte per PHT key (stored XOR
-        // `PACKED_IDENTITY` so the zero-fill means "no history yet"), one
-        // resolved-bit per PHT key, and one seen-bit per BTB slot.
+        // Reverse pass over the window: per-record scan flags, last-writer
+        // BTB bits, and the precomputed counter-inference state
+        // (newest-first, exactly the order and composition the demand scan
+        // would perform). The scratch holds one packed state byte per PHT
+        // key (stored XOR `PACKED_IDENTITY` so the zero-fill means "no
+        // history yet"), one resolved-bit per PHT key, and one seen-bit per
+        // BTB slot. Records older than the window are never scanned, so
+        // nothing they would seal is ever read.
         ix.br_flags.clear();
-        ix.br_flags.resize(n, 0);
+        ix.br_flags.resize(len, 0);
         ix.pht_state.clear();
-        ix.pht_state.resize(n, 0);
+        ix.pht_state.resize(len, 0);
         let pht_entries = 1usize << geom.ghr_bits;
         let btb_mask = geom.btb_entries - 1;
-        let budget = pct.of(n);
-        let window_start = n - budget;
         ix.br_scratch.clear();
         ix.br_scratch
-            .resize(pht_entries + 3 * pht_entries.div_ceil(8) + geom.btb_entries.div_ceil(8), 0);
+            .resize(pht_entries + 2 * pht_entries.div_ceil(8) + geom.btb_entries.div_ceil(8), 0);
         let (states, seen) = ix.br_scratch.split_at_mut(pht_entries);
         let (pht_done, seen) = seen.split_at_mut(pht_entries.div_ceil(8));
-        let (pht_done_in_window, seen) = seen.split_at_mut(pht_entries.div_ceil(8));
         let (lw_seen, btb_seen) = seen.split_at_mut(pht_entries.div_ceil(8));
         let mut lw = std::mem::take(&mut ix.scratch);
         lw.clear();
-        for i in (0..n).rev() {
+        for j in (0..len).rev() {
+            let i = from + j;
             let (_, taken) = self.branch_kind_taken(i);
             let mut flags = 0u8;
-            let key = ix.pht_key[i];
+            let key = ix.pht_key[j];
             if key != CHAIN_NONE {
                 let k = key as usize;
                 // A record older than its key's resolution point is dead:
                 // the monotonic cursor reaches it only after a newer record
-                // pinned and marked the counter (budgets truncate the *old*
-                // end of the scan), so it gets no verdict and no state.
+                // pinned and marked the counter, so it gets no verdict and
+                // no state.
                 if pht_done[k >> 3] & (1 << (k & 7)) == 0 {
                     let next =
                         PACKED_PREPEND[taken as usize][(states[k] ^ PACKED_IDENTITY) as usize];
                     states[k] = next ^ PACKED_IDENTITY;
-                    ix.pht_state[i] = next;
+                    ix.pht_state[j] = next;
                     if next == (next & 3).wrapping_mul(0x55) {
                         flags |= BR_F_PHT_RESOLVE;
                         pht_done[k >> 3] |= 1 << (k & 7);
-                        if i >= window_start {
-                            pht_done_in_window[k >> 3] |= 1 << (k & 7);
-                        }
-                    } else if i >= window_start {
-                        // Unresolved in-budget feed: a flush last-writer
-                        // candidate (resolved later if a still-newer
-                        // record pins the key after all).
-                        lw.push(i as u32);
+                    } else {
+                        // Unresolved feed: a flush last-writer candidate
+                        // (resolved later if a still-newer record pins the
+                        // key after all).
+                        lw.push(j as u32);
                     }
                 }
             }
@@ -1254,23 +1324,20 @@ impl SkipLog {
                     flags |= BR_F_BTB_LW;
                 }
             }
-            ix.br_flags[i] = flags;
+            ix.br_flags[j] = flags;
         }
-        // `lw` holds the unresolved in-budget feeds newest-first, so the
-        // reversed walk visits each key's *oldest* feed first — the one
-        // whose state the exhaustion flush will observe. Keys that
-        // resolve *inside the window* are excluded: their flush entry is
-        // neutralized (at the resolution record) before it is read. Keys
-        // whose resolution point lies beyond the window are NOT excluded
-        // — the budgeted scan never reaches it, so the flush still
-        // guesses them from their oldest in-window feed.
-        for &i in lw.iter().rev() {
-            let k = ix.pht_key[i as usize] as usize;
-            if pht_done_in_window[k >> 3] & (1 << (k & 7)) == 0
-                && lw_seen[k >> 3] & (1 << (k & 7)) == 0
-            {
+        // `lw` holds the unresolved feeds newest-first, so the reversed
+        // walk visits each key's *oldest* feed first — the one whose state
+        // the exhaustion flush will observe. Keys that resolve in the
+        // window are excluded: their flush entry is neutralized (at the
+        // resolution record) before it is read. A key resolving only before
+        // the window is not — the budgeted scan never reaches that point,
+        // so the flush still guesses it from its oldest window feed.
+        for &j in lw.iter().rev() {
+            let k = ix.pht_key[j as usize] as usize;
+            if pht_done[k >> 3] & (1 << (k & 7)) == 0 && lw_seen[k >> 3] & (1 << (k & 7)) == 0 {
                 lw_seen[k >> 3] |= 1 << (k & 7);
-                ix.br_flags[i as usize] |= BR_F_PHT_FLUSH_LW;
+                ix.br_flags[j as usize] |= BR_F_PHT_FLUSH_LW;
             }
         }
         ix.scratch = lw;
@@ -1278,21 +1345,23 @@ impl SkipLog {
         // so the hot worklist is compacted here: one sequential sweep of
         // the window's flag bytes.
         ix.br_hot.clear();
-        for i in (window_start..n).rev() {
-            if ix.br_flags[i] & (BR_F_PHT_RESOLVE | BR_F_PHT_FLUSH_LW | BR_F_BTB_LW) != 0 {
-                ix.br_hot.push(i as u32);
+        for j in (0..len).rev() {
+            if ix.br_flags[j] & (BR_F_PHT_RESOLVE | BR_F_PHT_FLUSH_LW | BR_F_BTB_LW) != 0 {
+                ix.br_hot.push((from + j) as u32);
             }
         }
 
         ix.ghr_final = ghr;
         ix.ghr_start = ghr_at_start;
         ix.br_sealed = Some(n);
+        ix.br_from = from;
         ix.br_pct = Some(pct);
     }
 
     /// The sealed memory-side spans, if they still describe the current
     /// columns. Consumers must additionally verify [`ReconIndex::geom`]
-    /// against their own structures before walking.
+    /// against their own structures, and [`ReconIndex::mem_from`] against
+    /// their scan's cut, before walking.
     pub(crate) fn mem_index(&self) -> Option<&ReconIndex> {
         let ix = self.index.as_deref()?;
         (ix.mem_sealed == Some(self.mem_addr.len())).then_some(ix)
@@ -1721,6 +1790,78 @@ mod tests {
     #[test]
     fn packed_branch_is_16_bytes() {
         assert_eq!(std::mem::size_of::<PackedBranch>(), 16);
+    }
+
+    /// The forward pass a windowed branch seal starts part-way through:
+    /// every record's PHT key from `ghr_at_start`, and the final GHR.
+    fn full_forward_pass(log: &SkipLog, ghr_at_start: u64, ghr_bits: u32) -> (Vec<u32>, u64) {
+        let mask = (1u64 << ghr_bits) - 1;
+        let mut ghr = ghr_at_start;
+        let keys = (0..log.branch_len())
+            .map(|i| {
+                let b = log.branch_at(i);
+                if b.kind != CtrlKind::CondBranch {
+                    return CHAIN_NONE;
+                }
+                let key = (((b.pc >> 2) ^ ghr) & mask) as u32;
+                ghr = ((ghr << 1) | u64::from(b.taken)) & mask;
+                key
+            })
+            .collect();
+        (keys, ghr)
+    }
+
+    #[test]
+    fn windowed_branch_seal_matches_a_full_forward_pass() {
+        let geom = ReconGeometry {
+            l1i_sets: 1,
+            l1i_line_shift: 6,
+            l1d_sets: 1,
+            l1d_line_shift: 6,
+            l2_sets: 1,
+            l2_line_shift: 6,
+            ghr_bits: 6,
+            btb_entries: 16,
+        };
+        let branch = |k: u64, kind: CtrlKind| {
+            let (pc, taken) = (0x1000 + (k * 28) % 1024, k % 3 != 1);
+            let target = 0x8000 + k * 4;
+            let next_pc = if taken { target } else { pc + 4 };
+            BranchRecord { pc, next_pc, target, kind, taken }
+        };
+        let cond = |k: u64| branch(k, CtrlKind::CondBranch);
+        let jump =
+            |k: u64| branch(k, if k.is_multiple_of(2) { CtrlKind::Jump } else { CtrlKind::Call });
+        // 80 records before a 20 % window of 100: conditionals every few
+        // records (more than `ghr_bits` of them), or only three.
+        let many: Vec<_> =
+            (0..100u64).map(|k| if k.is_multiple_of(3) { jump(k) } else { cond(k) }).collect();
+        let few: Vec<_> = (0..100)
+            .map(|k| if matches!(k, 5 | 40 | 77) || k >= 80 { cond(k) } else { jump(k) })
+            .collect();
+        let none: Vec<_> = (0..50).map(jump).collect();
+        let cases = [
+            ("more than ghr_bits conditionals before the window", many.clone(), Pct::new(20)),
+            ("fewer than ghr_bits conditionals before the window", few, Pct::new(20)),
+            ("no conditionals at all", none, Pct::new(20)),
+            ("pct 100 (the window is the whole log)", many, Pct::new(100)),
+            ("empty log", Vec::new(), Pct::new(20)),
+        ];
+        for (what, branches, pct) in cases {
+            let n = branches.len();
+            // Start GHRs wider than the mask: a forward pass leaves one
+            // unmasked until its first conditional.
+            for ghr_at_start in [0, 0b1011, 0xfff0_0000_0000_00a5] {
+                let log = SkipLog::from_records([], branches.iter().copied(), ghr_at_start);
+                let mut ix = ReconIndex::new(geom);
+                log.build_branch_index_into(&geom, ghr_at_start, pct, &mut ix);
+                let (keys, ghr_final) = full_forward_pass(&log, ghr_at_start, geom.ghr_bits);
+                let from = n - pct.of(n);
+                assert_eq!(ix.br_from, from, "{what}: window start");
+                assert_eq!(ix.pht_key, keys[from..], "{what}: PHT keys, start {ghr_at_start:#x}");
+                assert_eq!(ix.ghr_final, ghr_final, "{what}: final GHR, start {ghr_at_start:#x}");
+            }
+        }
     }
 
     #[test]

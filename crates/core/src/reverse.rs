@@ -142,14 +142,17 @@ fn geom_matches_hier(ix: &ReconIndex, hier: &MemHierarchy) -> bool {
         && g.l2_line_shift == hier.l2.line_shift()
 }
 
-/// The memory-side index for `hier`: `index` when it was keyed for
-/// `hier`'s set geometry, else one built from `log` for this call.
+/// The memory-side index for `hier` and a scan that stops at record
+/// `cut`: `index` when it was keyed for `hier`'s set geometry and its
+/// window reaches back to `cut` (a wider seal serves a narrower scan),
+/// else one built from `log` over `cut..` for this call.
 fn mem_index_for<'a>(
     hier: &MemHierarchy,
     log: &SkipLog,
     index: Option<&'a ReconIndex>,
+    cut: usize,
 ) -> Cow<'a, ReconIndex> {
-    if let Some(ix) = index.filter(|ix| geom_matches_hier(ix, hier)) {
+    if let Some(ix) = index.filter(|ix| geom_matches_hier(ix, hier) && ix.mem_from <= cut) {
         return Cow::Borrowed(ix);
     }
     // A memory-side build reads only the cache fields.
@@ -164,7 +167,7 @@ fn mem_index_for<'a>(
         btb_entries: 0,
     };
     let mut ix = ReconIndex::new(geom);
-    log.build_mem_index_into(&geom, &mut ix);
+    log.build_mem_index_into(&geom, cut, &mut ix);
     Cow::Owned(ix)
 }
 
@@ -217,8 +220,9 @@ fn branch_index_for<'a>(
 /// subsequence, mutations only ever happen before its stopping point, and
 /// the scan-length accounting is reconstructed from the per-set
 /// completion offsets (see DESIGN.md §11 for the argument). A log whose
-/// sealed index does not fit `hier` — unsealed, stale, or sealed for
-/// another geometry — is indexed for this call.
+/// sealed index does not fit `hier` and `pct` — unsealed, stale, sealed
+/// for another geometry, or sealed over a window narrower than `pct`'s —
+/// is indexed for this call, over `pct`'s window only.
 ///
 /// Returns per-structure wall time alongside the counters.
 ///
@@ -247,10 +251,10 @@ pub(crate) fn reconstruct_caches_partitioned_with(
     pct: Pct,
 ) -> (ReconStats, ReconTiming) {
     let mut timing = ReconTiming::default();
-    let ix = mem_index_for(hier, log, index);
     let n = log.mem_len();
     let budget = pct.of(n);
     let cut = n - budget;
+    let ix = mem_index_for(hier, log, index, cut);
     let addrs = log.mem_addrs();
     hier.begin_reconstruction();
 
@@ -460,6 +464,9 @@ impl<'log> BpReconstructor<'log> {
     fn scan(&mut self, pred: &mut Predictor, done: &impl Fn(&Predictor) -> bool) -> bool {
         let ix: &ReconIndex = &self.index;
         let len = self.log.branch_len();
+        // The sealed columns start at the budget window; `br_hot` is
+        // absolute.
+        let from = ix.br_from;
         let keys = ix.pht_key.as_slice();
         let states = ix.pht_state.as_slice();
         let mut finished = false;
@@ -483,21 +490,22 @@ impl<'log> BpReconstructor<'log> {
             self.consumed += newly;
             self.stats.branch_scanned += newly as u64;
             self.hot_pos += 1;
-            let f = ix.br_flags[i];
+            let j = i - from;
+            let f = ix.br_flags[j];
             let mut marked = false;
             if f & BR_F_PHT_RESOLVE != 0 {
-                let idx = keys[i] as usize;
-                pred.gshare.set_counter(idx, Counter2::new(states[i] & 3));
+                let idx = keys[j] as usize;
+                pred.gshare.set_counter(idx, Counter2::new(states[j] & 3));
                 pred.gshare.mark_reconstructed(idx);
                 self.pht_live[idx] = 0;
                 self.stats.pht_exact += 1;
                 marked = true;
             } else if f & BR_F_PHT_FLUSH_LW != 0 {
-                let idx = keys[i] as usize;
+                let idx = keys[j] as usize;
                 if self.pht_live[idx] == 0 {
                     self.touched.push(idx as u32);
                 }
-                self.pht_live[idx] = states[i] ^ PACKED_IDENTITY;
+                self.pht_live[idx] = states[j] ^ PACKED_IDENTITY;
             }
             if f & BR_F_BTB_LW != 0
                 && pred.btb.reconstruct(self.log.branch_pc(i), self.log.branch_target(i))

@@ -13,8 +13,9 @@
 //! **Replay is windows-outer, configs-inner** (DESIGN.md §16). Per
 //! captured window the replay leader builds each *distinct* reconstruction
 //! index once into a pooled arena — memory spans keyed by the cache-set
-//! geometry, branch columns by `(PHT bits, BTB entries, scan pct, start
-//! GHR)` — and every config threads a borrowed [`WindowIndex`] view of the
+//! geometry and sealed over the widest scan budget sharing it, branch
+//! columns by `(PHT bits, BTB entries, scan pct, start GHR)` — and every
+//! config threads a borrowed [`WindowIndex`] view of the
 //! shared, sealed build to the common [`detailed_window`]. A 20-config
 //! L1D×GHR grid therefore builds ~5 memory and ~4 branch indexes per
 //! window instead of 20 of each. The sharing is sound because each
@@ -327,6 +328,7 @@ impl<'a> SweepSpec<'a> {
             pipeline_depth: 1,
         };
         let details: Vec<&DetailSpec> = self.configs.iter().map(|(_, d)| d).collect();
+        let mem_pcts = widest_mem_pcts(&details);
 
         // ---- fused pass: capture each shard once, replay it N ways -----
         let body = |cpu: &mut Cpu, ctx: GroupCtx<'_>| {
@@ -384,8 +386,14 @@ impl<'a> SweepSpec<'a> {
                 let capture = t_capture.elapsed();
 
                 // -- replay the captured shard through every config --
-                let replay =
-                    replay_windows(&mut windows, &details, replay_workers, &mut scratch, cpu)?;
+                let replay = replay_windows(
+                    &mut windows,
+                    &details,
+                    &mem_pcts,
+                    replay_workers,
+                    &mut scratch,
+                    cpu,
+                )?;
 
                 // -- recycle the shard's capture buffers --
                 for w in windows {
@@ -481,7 +489,9 @@ fn reverse_pct(policy: WarmupPolicy) -> Pct {
 /// The memory-side memo key: exactly the fields
 /// `reverse::geom_matches_hier` checks before walking a sealed index, so
 /// two configs with equal keys can share one build regardless of their
-/// predictor geometry.
+/// predictor geometry. The key carries no budget: each key is sealed over
+/// the widest budget among the configs sharing it ([`widest_mem_pcts`]),
+/// and that window serves every narrower scan.
 type MemKey = (usize, u32, usize, u32, usize, u32);
 
 /// The branch-side memo key: exactly the fields
@@ -494,6 +504,21 @@ type BrKey = (u32, usize, Pct, u64);
 
 fn mem_key(g: &ReconGeometry) -> MemKey {
     (g.l1i_sets, g.l1i_line_shift, g.l1d_sets, g.l1d_line_shift, g.l2_sets, g.l2_line_shift)
+}
+
+/// Per config, the budget its memory index is sealed over: the widest
+/// scan budget among the configs sharing its [`MemKey`], so one seal per
+/// window serves all of them. The budgets are static per sweep, so this
+/// runs once.
+fn widest_mem_pcts(details: &[&DetailSpec]) -> Vec<Pct> {
+    let keys: Vec<MemKey> =
+        details.iter().map(|d| mem_key(&ReconGeometry::of_machine(&d.machine))).collect();
+    keys.iter()
+        .map(|key| {
+            let sharing = keys.iter().zip(details).filter(|(k, _)| *k == key);
+            sharing.map(|(_, d)| reverse_pct(d.policy)).max().unwrap_or(Pct::new(100))
+        })
+        .collect()
 }
 
 /// One config's per-window index assignment, produced by [`plan_window`]:
@@ -546,6 +571,9 @@ struct ConfigReplay<'d> {
     detail: &'d DetailSpec,
     geom: ReconGeometry,
     pct: Pct,
+    /// Budget the shared memory index for `geom` is sealed over
+    /// ([`widest_mem_pcts`]), at least `pct`.
+    mem_pct: Pct,
     want_cache: bool,
     want_bp: bool,
     hier: MemHierarchy,
@@ -555,12 +583,13 @@ struct ConfigReplay<'d> {
 }
 
 impl<'d> ConfigReplay<'d> {
-    fn new(detail: &'d DetailSpec) -> ConfigReplay<'d> {
+    fn new(detail: &'d DetailSpec, mem_pct: Pct) -> ConfigReplay<'d> {
         let (want_cache, want_bp) = logging_signature(detail.policy);
         ConfigReplay {
             detail,
             geom: ReconGeometry::of_machine(&detail.machine),
             pct: reverse_pct(detail.policy),
+            mem_pct,
             want_cache,
             want_bp,
             hier: MemHierarchy::new(detail.machine.hier.clone()),
@@ -631,7 +660,9 @@ fn plan_window(
                         let slot = used as u32;
                         used += 1;
                         let t = Instant::now();
-                        log.build_mem_index_into(&st.geom, arena.slot(used - 1, st.geom));
+                        let n = log.mem_len();
+                        let from = n - st.mem_pct.of(n);
+                        log.build_mem_index_into(&st.geom, from, arena.slot(used - 1, st.geom));
                         st.outcome.phases.warm += t.elapsed();
                         *builds += 1;
                         memo.mem.push((key, slot));
@@ -752,6 +783,7 @@ fn replay_chunk_window(
 fn replay_windows<'d>(
     windows: &mut [SealedWindow],
     details: &[&'d DetailSpec],
+    mem_pcts: &[Pct],
     workers: usize,
     scratch: &mut ReplayScratch,
     group_cpu: &Cpu,
@@ -771,7 +803,11 @@ fn replay_windows<'d>(
         for w in 0..workers {
             let take = base + usize::from(w < extra);
             let mut ch = ChunkState {
-                configs: details[at..at + take].iter().map(|d| ConfigReplay::new(d)).collect(),
+                configs: details[at..at + take]
+                    .iter()
+                    .zip(&mem_pcts[at..at + take])
+                    .map(|(d, &p)| ConfigReplay::new(d, p))
+                    .collect(),
                 hot_cpu: None,
                 restore_bytes: 0,
             };

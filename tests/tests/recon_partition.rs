@@ -7,7 +7,8 @@
 //! predictor state. Inputs cover arbitrary record streams (ext-spill
 //! records, over-budget truncated logs, logs mutated after sealing), each
 //! presented sealed for the machine, unsealed, sealed for another
-//! geometry, and sealed under another scan budget: the public entry points
+//! geometry, sealed under another scan budget, and memory-sealed over a
+//! wider or a narrower window than the scan's: the public entry points
 //! must give the sealed result on every one.
 
 use proptest::prelude::*;
@@ -86,8 +87,9 @@ fn workload_stream(bench: Benchmark, n: u64) -> Vec<Retired> {
 /// The presentations of one log the public entry points must reconstruct
 /// identically, the sealed production input first: sealed for `machine`
 /// at `pct`, as given (unsealed, or carrying a stale seal), sealed for
-/// another geometry on both sides, and branch-sealed under another scan
-/// budget.
+/// another geometry on both sides, sealed under another scan budget,
+/// memory-sealed over the whole log (a wider window, borrowed), and
+/// memory-sealed for a narrower budget (reindexed).
 fn log_variants(machine: &MachineConfig, log: &SkipLog, pct: Pct) -> Vec<(&'static str, SkipLog)> {
     let geom = ReconGeometry::of_machine(machine);
     let other_geom = ReconGeometry {
@@ -99,17 +101,23 @@ fn log_variants(machine: &MachineConfig, log: &SkipLog, pct: Pct) -> Vec<(&'stat
         ..geom
     };
     let other_pct = if pct == Pct::new(100) { Pct::new(50) } else { Pct::new(100) };
-    let sealed_with = |mem: &ReconGeometry, br: &ReconGeometry, br_pct: Pct| {
+    let narrower_pct = if pct > Pct::new(20) { Pct::new(20) } else { Pct::new(1) };
+    let sealed_with = |mem: &ReconGeometry, mem_pct: Pct, br: &ReconGeometry, br_pct: Pct| {
         let mut l = log.clone();
-        l.seal_mem_index(mem);
+        l.seal_mem_window(mem, mem_pct);
         l.seal_branch_index(br, br_pct);
         l
     };
+    let mut whole_mem = log.clone();
+    whole_mem.seal_mem_index(&geom);
+    whole_mem.seal_branch_index(&geom, pct);
     vec![
-        ("sealed", sealed_with(&geom, &geom, pct)),
+        ("sealed", sealed_with(&geom, pct, &geom, pct)),
         ("as given", log.clone()),
-        ("wrong geometry", sealed_with(&other_geom, &other_geom, pct)),
-        ("wrong pct", sealed_with(&geom, &geom, other_pct)),
+        ("wrong geometry", sealed_with(&other_geom, pct, &other_geom, pct)),
+        ("wrong pct", sealed_with(&geom, other_pct, &geom, other_pct)),
+        ("memory sealed over the whole log", whole_mem),
+        ("sealed for a narrower budget", sealed_with(&geom, narrower_pct, &geom, pct)),
     ]
 }
 

@@ -174,6 +174,34 @@ fn replay_fanout_is_bit_identical_at_any_width() {
 }
 
 #[test]
+fn one_geometry_at_two_budgets_shares_one_memory_seal() {
+    // Two configs on the same machine at 20 % and 100 %: the memo seals
+    // that cache geometry once per window over the wider budget, and the
+    // 20 % config borrows the 100 % window. In either registration order
+    // both must match their standalone runs, with the memory index built
+    // once per window rather than once per budget.
+    let m = machine();
+    let bases = [standalone(&m, rsr(20), 1, 1), standalone(&m, rsr(100), 1, 1)];
+    for order in [[0usize, 1], [1, 0]] {
+        let sweep = order.iter().fold(SweepSpec::new(cold()), |s, &c| {
+            s.config(format!("pct{}", [20, 100][c]), DetailSpec::new(&m).policy(rsr([20, 100][c])))
+        });
+        let out = sweep.run().expect("sweep completes");
+        for (&c, got) in order.iter().zip(&out.configs) {
+            assert_equivalent(&bases[c], &got.outcome, &format!("{} in order {order:?}", got.name));
+        }
+        // Per reconstructed window: one memory build shared by both
+        // configs, and one branch build per budget (the flush last-writer
+        // bits depend on it).
+        let first = &out.configs[0].outcome;
+        let windows = (first.clusters.values().len() - first.clusters_degraded as usize) as u64;
+        assert!(windows > 0, "the scenario must reconstruct");
+        assert_eq!(out.index_builds_shared, windows, "order {order:?}: one shared memory seal");
+        assert_eq!(out.index_builds, 3 * windows, "order {order:?}: 1 memory + 2 branch builds");
+    }
+}
+
+#[test]
 fn sweep_configs_actually_differ() {
     // Guard against a degenerate sweep where every config reads the same
     // geometry: the machine variants must produce different estimates.
