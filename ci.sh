@@ -10,8 +10,8 @@ cargo build --release --workspace
 # benchmark run.
 cargo build --release --offline --manifest-path perfbench/Cargo.toml
 # The harness's traced run re-enacts the engine's window loop through the
-# public API, sealing whole-log memory indexes, and checks its estimates
-# against the engine's own runs, which seal only the scan window. Hard
+# public API, sealing whole-log plans, and checks its estimates against
+# the engine's own runs, which plan only the scan window. Hard
 # everywhere: the gate is on determinism (bit-identical reconstruction
 # under both seals), not timing. About 9 s on a 2-core host.
 trace_result=$(cargo run --release --offline -q --manifest-path perfbench/Cargo.toml -- \

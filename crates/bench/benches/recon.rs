@@ -5,8 +5,8 @@
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use rsr_cache::{HierAccess, HierarchyConfig, MemHierarchy};
 use rsr_core::{
-    reconstruct_caches_partitioned, MachineConfig, Pct, ReconGeometry, RunSpec, SamplingRegimen,
-    SkipLog, WarmupPolicy,
+    reconstruct_caches_partitioned, MachineConfig, Pct, RunSpec, SamplingRegimen, SkipLog,
+    WarmupPolicy,
 };
 use rsr_func::Cpu;
 use rsr_workloads::{Benchmark, WorkloadParams};
@@ -39,11 +39,11 @@ fn recorded_accesses() -> Vec<(u64, HierAccess)> {
 }
 
 fn bench_region_warmup(c: &mut Criterion) {
-    // Sealed once, outside the timed closures: the engine seals during
-    // cold recording, so the reverse scan below is the one it runs.
+    // Left unsealed: each reverse reconstruction below builds its level
+    // plans over the budget window and applies them, the work the engine
+    // pays per window after the skip region.
     let machine = MachineConfig::paper();
-    let mut log = logged_region();
-    log.seal_mem_index(&ReconGeometry::of_machine(&machine));
+    let log = logged_region();
     let accesses = recorded_accesses();
     let mut group = c.benchmark_group("region_warmup");
     group.sample_size(10);

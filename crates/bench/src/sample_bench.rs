@@ -9,8 +9,7 @@ use std::time::Instant;
 
 use rsr_cache::MemHierarchy;
 use rsr_core::{
-    reconstruct_caches_partitioned, Pct, ReconGeometry, RunSpec, SamplingRegimen, SkipLog,
-    WarmupPolicy,
+    reconstruct_caches_partitioned, Pct, RunSpec, SamplingRegimen, SkipLog, WarmupPolicy,
 };
 use rsr_func::Cpu;
 use rsr_workloads::{Benchmark, WorkloadParams};
@@ -44,8 +43,9 @@ pub struct BenchSample {
     /// second of hot busy time, in millions — the detailed-window kernel
     /// speed (cache hierarchy + predictor per instruction).
     pub hot_mips: f64,
-    /// Reverse cache reconstruction cost per scanned log record, from a
-    /// standalone logged-region micro-pass at the run's budget.
+    /// Reverse cache reconstruction cost per scanned log record — building
+    /// the three level plans and applying them — from a standalone
+    /// logged-region micro-pass at the run's budget.
     pub recon_ns_per_record: f64,
     /// In-run L1 (I+D) reverse-walk nanoseconds per scanned memory record.
     pub recon_l1_ns_per_record: f64,
@@ -160,16 +160,16 @@ pub fn run_bench_sample(
     let hot_secs = outcome.phases.hot.as_secs_f64();
     let hot_mips = outcome.hot_insts as f64 / hot_secs.max(1e-9) / 1e6;
 
-    // Standalone reconstruction micro-pass: log one representative region,
-    // seal its set-partitioned index once (the engine seals during cold
-    // recording, so sealing stays outside the timed loop here too), then
-    // time repeated index-driven reverse scans into fresh hierarchies
-    // until the measurement stops being noise-dominated.
+    // Standalone reconstruction micro-pass: log one representative region
+    // unsealed, then time repeated reverse reconstructions into fresh
+    // hierarchies until the measurement stops being noise-dominated. Each
+    // iteration builds the three level plans over the budget window and
+    // applies them — the work the engine's follower pays per window (it
+    // seals the plans on its own clock), not the apply step alone.
     let region = (total / 4).clamp(50_000, 400_000);
     let mut cpu = Cpu::new(&program).expect("program loads");
     let mut log = SkipLog::new(true, false, 0);
     log.record_region(&mut cpu, region).expect("logged region");
-    log.seal_mem_index(&ReconGeometry::of_machine(&machine));
     let mut scanned = 0u64;
     let mut iters = 0u32;
     let t = Instant::now();

@@ -98,8 +98,8 @@ pub struct SweepSample {
     /// The engine's modeled amortization ratio (cold pass counted once vs
     /// once per config over the same replay time).
     pub amortization: f64,
-    /// Per-window index requests served from the sweep's shared memo
-    /// instead of a rebuild (`SweepOutcome::index_builds_shared`).
+    /// Per-window plan and branch-index requests served from the sweep's
+    /// shared memo instead of a rebuild (`SweepOutcome::index_builds_shared`).
     pub index_builds_shared: u64,
     /// Journal-undo traffic per config in bytes — what state restore
     /// cost instead of full-image snapshot copies.

@@ -450,50 +450,36 @@ impl Cache {
         ReconOutcome::Inserted
     }
 
-    /// Replays one set's whole logged span — record indices into `addrs`,
-    /// newest first, descending — stopping at the budget `cut` (`record
-    /// index < cut` ends the span) or when the set completes: the per-set
-    /// early exit the paper's §3.1 ordering permits, because a complete
-    /// set ignores all older references anyway. Every address in the span
-    /// must map to `set`.
+    /// Applies one set's reconstruction plan: the distinct tags of blocks
+    /// mapping to `set`, newest reference first, as met by the paper's
+    /// §3.1 newest-first scan (every older reference to a planned block is
+    /// redundant, and every reference after the set's `assoc`-th distinct
+    /// block finds it complete, so a plan holds at most `assoc` tags).
     ///
-    /// Semantically identical to presenting each in-budget reference to
-    /// [`Cache::reconstruct_ref`] in span order, but batched: the
-    /// stale-victim priority order (invalid ways first, then valid stale
-    /// ways oldest-rank first) is computed once per set instead of per
-    /// reference, and the per-reference work collapses to one tag compare
-    /// loop. Victim priority only depends on the set's pre-scan (valid,
-    /// rank) state — reconstruction never changes a surviving stale way's
-    /// rank or validity — so hoisting it is exact.
-    pub fn reconstruct_span(
-        &mut self,
-        set: usize,
-        span: &[u32],
-        addrs: &[u64],
-        cut: u32,
-    ) -> SpanOutcome {
-        // Victim priority as a stack: `(!valid, rank)` descending, i.e.
-        // exactly the argmax sequence `reconstruct_ref` would produce.
-        // Ranks are a permutation within a set, so the order is unique.
+    /// Semantically identical to presenting each tag's line to
+    /// [`Cache::reconstruct_ref`] in order, but batched: the stale-victim
+    /// priority order (invalid ways first, then valid stale ways
+    /// oldest-rank first) is computed once per set instead of per tag, and
+    /// the per-tag work collapses to one tag compare loop. Victim priority
+    /// only depends on the set's pre-scan (valid, rank) state —
+    /// reconstruction never changes a surviving stale way's rank or
+    /// validity — so hoisting it is exact.
+    pub fn reconstruct_plan(&mut self, set: usize, tags: &[u64]) -> PlanOutcome {
         const MAX_FAST_ASSOC: usize = 32;
-        let mut order = [0u8; MAX_FAST_ASSOC];
         let assoc = self.cfg.assoc;
-        let mut out = SpanOutcome::default();
+        let mut out = PlanOutcome::default();
+        if tags.is_empty() {
+            return out;
+        }
         if assoc > MAX_FAST_ASSOC {
             // Degenerate geometry: take the per-reference path.
-            for &i in span {
-                if i < cut {
-                    break;
-                }
-                let addr = addrs[i as usize];
-                debug_assert_eq!(self.set_index(addr), set, "span record outside its set");
-                match self.reconstruct_ref(addr) {
+            for &tag in tags {
+                match self.reconstruct_ref(self.line_addr(set, tag)) {
                     ReconOutcome::Inserted => out.inserted += 1,
                     ReconOutcome::MarkedPresent => out.marked += 1,
                     ReconOutcome::Redundant | ReconOutcome::SetComplete => {}
                 }
                 if self.recon_counts[set] as usize >= assoc {
-                    out.completed_at = Some(i);
                     break;
                 }
             }
@@ -504,24 +490,30 @@ impl Cache {
         if seq as usize >= assoc {
             return out;
         }
-        let tag_shift = self.line_shift + self.num_sets.trailing_zeros();
         let base = set * assoc;
-        for (w, slot) in order.iter_mut().take(assoc).enumerate() {
-            *slot = w as u8;
+        // Victim priority as a stack: `(!valid, rank)` descending, i.e.
+        // exactly the argmax sequence `reconstruct_ref` would produce —
+        // invalid ways first, then valid ones, each oldest rank first.
+        // Ranks are a permutation within a set, so indexing the ways by
+        // rank orders each group without a sort.
+        let mut by_rank = [0u8; MAX_FAST_ASSOC];
+        for w in 0..assoc {
+            by_rank[self.ranks[base + w] as usize] = w as u8;
         }
-        order[..assoc].sort_unstable_by_key(|&w| {
-            (
-                bit_get(&self.valid, self.mask_stride, set, w as usize),
-                std::cmp::Reverse(self.ranks[base + w as usize]),
-            )
-        });
+        let valid = self.vmask(set);
+        let mut order = [0u8; MAX_FAST_ASSOC];
+        let mut len = 0;
+        for want_valid in [false, true] {
+            for &w in by_rank[..assoc].iter().rev() {
+                if (valid >> w & 1 != 0) == want_valid {
+                    order[len] = w;
+                    len += 1;
+                }
+            }
+        }
         let mut next_victim = 0usize;
 
-        for &i in span {
-            if i < cut {
-                break;
-            }
-            let tag = addrs[i as usize] >> tag_shift;
+        for &tag in tags {
             match self.find_way(set, tag) {
                 Some(way) => {
                     if self.recon_seq[base + way] != NOT_RECON {
@@ -548,7 +540,6 @@ impl Cache {
             seq += 1;
             if seq as usize >= assoc {
                 self.complete_sets += 1;
-                out.completed_at = Some(i);
                 break;
             }
         }
@@ -683,17 +674,14 @@ fn ones(n: usize) -> u64 {
     }
 }
 
-/// Result of replaying one set's logged references through
-/// [`Cache::reconstruct_span`].
+/// Result of applying one set's reconstruction plan through
+/// [`Cache::reconstruct_plan`].
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
-pub struct SpanOutcome {
-    /// References inserted into stale ways.
+pub struct PlanOutcome {
+    /// Blocks inserted into stale ways.
     pub inserted: u32,
     /// Present-but-stale blocks marked reconstructed in place.
     pub marked: u32,
-    /// The record index at which the set became fully reconstructed, if it
-    /// did within the span.
-    pub completed_at: Option<u32>,
 }
 
 #[cfg(test)]
@@ -905,59 +893,55 @@ mod tests {
     }
 
     #[test]
-    fn span_walk_matches_sequential_reconstruction() {
-        // Walking each set's newest-first span with a budget cut must
-        // reproduce the sequential reverse scan over the same budget: same
-        // per-set completion, same lines, same completeness counter. 64
-        // ways exercises the per-reference fallback of the batched walk.
+    fn plan_application_matches_per_reference_reconstruction() {
+        // Applying a set's distinct-tag plan must leave exactly the state
+        // `reconstruct_ref` leaves when fed the same tags' lines in order:
+        // tags, valid and dirty bits, reconstruction order (and so the
+        // final ranks), completion, and the same inserted/marked counts.
+        // Stale states mix clean, dirty and invalid ways; 64 ways exercises
+        // the per-reference fallback of the batched apply.
         use rand::prelude::*;
         let mut rng = StdRng::seed_from_u64(11);
-        for assoc in [2usize, 4, 64] {
-            let tags = 3 * assoc as u64;
-            let stream: Vec<(u64, u64)> =
-                (0..400).map(|_| (rng.gen_range(0..4u64), rng.gen_range(0..tags))).collect();
-            let addrs: Vec<u64> = stream.iter().map(|&(s, t)| addr(s, t)).collect();
-            let cut = 40u32;
-            let mut seq = tiny_cache(assoc);
-            let mut span = tiny_cache(assoc);
-            // Shared stale content so marked-present paths are exercised.
-            for &a in addrs.iter().take(assoc * 4) {
-                seq.access(a, AccessKind::Read);
-                span.access(a, AccessKind::Read);
-            }
-
-            seq.begin_reconstruction();
-            let (mut inserted, mut marked) = (0u32, 0u32);
-            for &a in addrs[cut as usize..].iter().rev() {
-                match seq.reconstruct_ref(a) {
-                    ReconOutcome::Inserted => inserted += 1,
-                    ReconOutcome::MarkedPresent => marked += 1,
-                    ReconOutcome::Redundant | ReconOutcome::SetComplete => {}
+        for assoc in [1usize, 2, 4, 8, 64] {
+            for trial in 0..40 {
+                let universe = 3 * assoc as u64;
+                let mut plan_side = tiny_cache(assoc);
+                for _ in 0..rng.gen_range(0..6 * assoc) {
+                    let a = addr(rng.gen_range(0..4u64), rng.gen_range(0..universe));
+                    let kind = if rng.gen_bool(0.3) { AccessKind::Write } else { AccessKind::Read };
+                    plan_side.access(a, kind);
                 }
-            }
-            seq.finish_reconstruction();
+                let mut ref_side = plan_side.clone();
+                plan_side.begin_reconstruction();
+                ref_side.begin_reconstruction();
 
-            span.begin_reconstruction();
-            let mut out = SpanOutcome::default();
-            for set in 0..4 {
-                let idx: Vec<u32> = (0..addrs.len() as u32)
-                    .rev()
-                    .filter(|&i| stream[i as usize].0 == set)
-                    .collect();
-                let o = span.reconstruct_span(set as usize, &idx, &addrs, cut);
-                out.inserted += o.inserted;
-                out.marked += o.marked;
-                assert_eq!(
-                    o.completed_at.is_some(),
-                    span.dump_set(set as usize).iter().all(|l| l.3)
-                );
-            }
-            span.finish_reconstruction();
-
-            assert_eq!((out.inserted, out.marked), (inserted, marked), "assoc {assoc}");
-            assert_eq!(span.complete_sets(), seq.complete_sets(), "assoc {assoc}");
-            for set in 0..4 {
-                assert_eq!(span.dump_set(set), seq.dump_set(set), "assoc {assoc} set {set}");
+                let (mut got, mut want) = (PlanOutcome::default(), PlanOutcome::default());
+                for set in 0..4u64 {
+                    let mut pool: Vec<u64> = (0..universe).collect();
+                    pool.shuffle(&mut rng);
+                    let tags = &pool[..rng.gen_range(0..=assoc)];
+                    let o = plan_side.reconstruct_plan(set as usize, tags);
+                    got.inserted += o.inserted;
+                    got.marked += o.marked;
+                    for &t in tags {
+                        match ref_side.reconstruct_ref(addr(set, t)) {
+                            ReconOutcome::Inserted => want.inserted += 1,
+                            ReconOutcome::MarkedPresent => want.marked += 1,
+                            ReconOutcome::Redundant | ReconOutcome::SetComplete => {}
+                        }
+                    }
+                }
+                let what = format!("assoc {assoc} trial {trial}");
+                assert_eq!(got, want, "{what}: inserted/marked");
+                assert_eq!(plan_side.tags, ref_side.tags, "{what}: tags");
+                assert_eq!(plan_side.valid, ref_side.valid, "{what}: valid bits");
+                assert_eq!(plan_side.dirty, ref_side.dirty, "{what}: dirty bits");
+                assert_eq!(plan_side.recon_seq, ref_side.recon_seq, "{what}: recon order");
+                assert_eq!(plan_side.recon_counts, ref_side.recon_counts, "{what}: recon counts");
+                assert_eq!(plan_side.complete_sets(), ref_side.complete_sets(), "{what}");
+                plan_side.finish_reconstruction();
+                ref_side.finish_reconstruction();
+                assert_eq!(plan_side.ranks, ref_side.ranks, "{what}: final ranks");
             }
         }
     }

@@ -34,9 +34,9 @@
 //! spill their full `pc`/`next_pc` into small side tables, so the packing
 //! is lossless for *any* record stream. Consumers materialize full
 //! [`MemRecord`]/[`BranchRecord`] values through [`SkipLog::mem_records`],
-//! [`SkipLog::branch_records`], and the indexed accessors; the reverse
-//! cache scan uses [`SkipLog::mem_refs_rev`], which touches only the
-//! address and tag columns.
+//! [`SkipLog::branch_records`], and the indexed accessors; newest-first
+//! cache scans ([`SkipLog::mem_refs_rev`] and the reconstruction-plan
+//! build) touch only the address and tag columns.
 //!
 //! Byte accounting ([`SkipLog::approx_bytes`], the budget check, and
 //! [`SkipLog::peak_bytes`]) is maintained incrementally — O(1) per append,
@@ -184,11 +184,11 @@ pub struct SkipLog {
     peak_bytes: usize,
     /// Records appended this region, including any later discarded.
     appended: u64,
-    /// Partitioned reconstruction index: per-(structure, set) newest-first
-    /// record-index spans sealed over the SoA columns (see [`ReconIndex`]).
-    /// Never serialized; unsealed by [`SkipLog::reset`] and budget
-    /// truncation, and ignored by its accessors unless the sealed lengths
-    /// still match the columns. Boxed so an unindexed log stays one
+    /// Reconstruction index: per-level cache plans and the branch-side
+    /// columns sealed over the SoA columns (see [`ReconIndex`]). Never
+    /// serialized; unsealed by [`SkipLog::reset`] and budget truncation,
+    /// and used by reconstruction only while the sealed lengths still
+    /// match the columns. Boxed so an unindexed log stays one
     /// pointer wider.
     index: Option<Box<ReconIndex>>,
 }
@@ -330,25 +330,31 @@ pub(crate) const fn over_record_ceiling(mem: usize, branches: usize) -> bool {
 
 /// The structure geometry a [`ReconIndex`] was sealed for.
 ///
-/// Derivable from configuration alone — the pipeline *leader* seals the
-/// memory-side chains without ever holding a cache or predictor instance —
-/// and stored with the index so consumers can verify the chains match
-/// their structures before trusting them (on a mismatch the consumer
-/// builds an index for its own geometry instead).
+/// Derivable from configuration alone — a sweep seals reconstruction
+/// plans without ever holding a cache or predictor instance — and stored
+/// with the index so consumers can verify each side matches their
+/// structures before trusting it (on a mismatch the consumer builds for
+/// its own geometry instead).
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct ReconGeometry {
     /// L1I set count (power of two).
     pub l1i_sets: usize,
     /// L1I line-offset shift (log₂ line bytes).
     pub l1i_line_shift: u32,
+    /// L1I associativity.
+    pub l1i_assoc: usize,
     /// L1D set count.
     pub l1d_sets: usize,
     /// L1D line-offset shift.
     pub l1d_line_shift: u32,
+    /// L1D associativity.
+    pub l1d_assoc: usize,
     /// Unified L2 set count.
     pub l2_sets: usize,
     /// L2 line-offset shift.
     pub l2_line_shift: u32,
+    /// L2 associativity.
+    pub l2_assoc: usize,
     /// gshare global-history bits (PHT index width, ≤ 26).
     pub ghr_bits: u32,
     /// BTB entry count (power of two).
@@ -358,47 +364,148 @@ pub struct ReconGeometry {
 impl ReconGeometry {
     /// The geometry of a configured machine.
     pub fn of_machine(machine: &crate::MachineConfig) -> ReconGeometry {
+        let h = &machine.hier;
         ReconGeometry {
-            l1i_sets: machine.hier.l1i.num_sets(),
-            l1i_line_shift: machine.hier.l1i.line_bytes.trailing_zeros(),
-            l1d_sets: machine.hier.l1d.num_sets(),
-            l1d_line_shift: machine.hier.l1d.line_bytes.trailing_zeros(),
-            l2_sets: machine.hier.l2.num_sets(),
-            l2_line_shift: machine.hier.l2.line_bytes.trailing_zeros(),
+            l1i_sets: h.l1i.num_sets(),
+            l1i_line_shift: h.l1i.line_bytes.trailing_zeros(),
+            l1i_assoc: h.l1i.assoc,
+            l1d_sets: h.l1d.num_sets(),
+            l1d_line_shift: h.l1d.line_bytes.trailing_zeros(),
+            l1d_assoc: h.l1d.assoc,
+            l2_sets: h.l2.num_sets(),
+            l2_line_shift: h.l2.line_bytes.trailing_zeros(),
+            l2_assoc: h.l2.assoc,
             ghr_bits: machine.pred.ghr_bits,
             btb_entries: machine.pred.btb_entries,
         }
     }
+
+    /// The keys of the L1I, L1D and L2 plans, in that order.
+    pub(crate) fn plan_keys(&self) -> [PlanKey; 3] {
+        [
+            PlanKey {
+                level: Level::L1i,
+                sets: self.l1i_sets,
+                line_shift: self.l1i_line_shift,
+                assoc: self.l1i_assoc,
+            },
+            PlanKey {
+                level: Level::L1d,
+                sets: self.l1d_sets,
+                line_shift: self.l1d_line_shift,
+                assoc: self.l1d_assoc,
+            },
+            PlanKey {
+                level: Level::L2,
+                sets: self.l2_sets,
+                line_shift: self.l2_line_shift,
+                assoc: self.l2_assoc,
+            },
+        ]
+    }
 }
 
-/// The partitioned reconstruction index (paper §3.1/§3.2 exploited
-/// structurally): memory records bucketed by (cache level, set) as
-/// newest-first u32 record-index spans over the log's SoA columns, plus
-/// the branch side's sealed PHT-key column and final GHR.
+/// A cache level of the reconstructed hierarchy, which fixes the records
+/// its plan reads: instruction records repair the L1I, data records the
+/// L1D, and both the unified L2.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub(crate) enum Level {
+    L1i,
+    L1d,
+    L2,
+}
+
+/// Everything a [`LevelPlan`]'s entries depend on besides the log: the
+/// level (which records it reads), the set geometry (which set and tag a
+/// record maps to) and the associativity (how many distinct blocks a set
+/// keeps).
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub(crate) struct PlanKey {
+    pub(crate) level: Level,
+    pub(crate) sets: usize,
+    pub(crate) line_shift: u32,
+    pub(crate) assoc: usize,
+}
+
+/// One cache level's reconstruction plan (paper §3.1 exploited
+/// structurally): for every set, the first `assoc` distinct tags the
+/// newest-first scan meets in the scan window, each with the newest record
+/// index that referenced it.
+///
+/// The reverse scan ignores every reference to a block it has already
+/// reconstructed and every reference to a complete set, so *which* blocks
+/// a set reconstructs, and in which order, is a function of the log, the
+/// set geometry and the budget alone; a hierarchy's own stale content only
+/// decides whether each planned block is inserted or marked in place
+/// ([`rsr_cache::Cache::reconstruct_plan`]). One plan therefore serves
+/// every hierarchy whose level matches its [`PlanKey`].
+///
+/// A set's entries run in descending record order, so a plan sealed over
+/// window `from..` serves any scan whose cut is at or after `from`: the
+/// scan's plan is the prefix of entries at or after the cut (the prefix
+/// rule). Resident cost is one tag and one u32 per cache line plus one
+/// u32 per set, whatever the window's length.
+#[derive(Clone, Debug)]
+pub(crate) struct LevelPlan {
+    pub(crate) key: PlanKey,
+    /// The plan describes exactly this `mem_len` (`None` = not sealed).
+    pub(crate) sealed: Option<usize>,
+    /// First memory record of the window the plan was built over.
+    pub(crate) from: usize,
+    /// Entry count per set (≤ `assoc`).
+    lens: Vec<u32>,
+    /// Set `s` owns `tags[s * assoc..][..lens[s]]`, newest first.
+    tags: Vec<u64>,
+    /// Newest referencing record of each entry, parallel to `tags`.
+    recs: Vec<u32>,
+}
+
+impl LevelPlan {
+    pub(crate) fn new(key: PlanKey) -> LevelPlan {
+        LevelPlan {
+            key,
+            sealed: None,
+            from: 0,
+            lens: Vec::new(),
+            tags: Vec::new(),
+            recs: Vec::new(),
+        }
+    }
+
+    /// Re-keys the plan, keeping its allocations: the build sizes its
+    /// columns from the key on each call, so one plan buffer serves many
+    /// geometries back to back.
+    pub(crate) fn retarget(&mut self, key: PlanKey) {
+        self.key = key;
+        self.sealed = None;
+    }
+
+    /// Set `set`'s entries, newest first: their tags and the newest record
+    /// index referencing each.
+    pub(crate) fn set_entries(&self, set: usize) -> (&[u64], &[u32]) {
+        let base = set * self.key.assoc;
+        let len = self.lens[set] as usize;
+        (&self.tags[base..base + len], &self.recs[base..base + len])
+    }
+}
+
+/// The reconstruction index sealed into a log: one [`LevelPlan`] per cache
+/// level (the memory side), plus the branch side's sealed PHT-key column,
+/// scan verdicts and final GHR.
 ///
 /// Both sides cover only a *scan window*, the newest records of the log:
 /// the percentage parameter limits reconstruction to the last `pct` of
 /// the trace (paper §3), so records older than the window are logged but
-/// never read. The memory side covers `mem_from..mem_len` and serves any
-/// scan whose cut is at or after `mem_from` (a wider seal serves a
-/// narrower budget); the branch side covers exactly its sealed budget's
-/// window, `br_from..branch_len`.
+/// never read. Each plan covers its own window and serves any scan whose
+/// cut is at or after the window's start (a wider seal serves a narrower
+/// budget through the prefix rule); the branch side covers exactly its
+/// sealed budget's window, `br_from..branch_len`.
 ///
-/// The memory side is a counting sort per level: `off[set]..off[set+1]`
-/// delimits set `set`'s span in the `idx` column, filled so each span
-/// holds strictly descending absolute record indices — exactly the
-/// newest-first order the reverse scan consumes, but *contiguous*, so a
-/// set walk is a linear read plus independent gathers from the address
-/// column (no pointer chasing; the equivalent tail-chain layout measured
-/// ~1.6× slower on mcf because every link was a dependent cache miss).
-/// Resident cost is ~4 B per *window* record per indexed level (records
-/// are *indexed*, never copied) plus one u32 per set.
+/// The memory side is keyed per level, not by this index's `geom`: each
+/// plan carries its [`PlanKey`] and sealed length, and a consumer applies
+/// a plan only when both match its own cache and log.
 ///
-/// The L1I and L1D spans are disjoint by construction: every memory
-/// record is an instruction *or* a data reference, so the two `idx`
-/// columns together hold each window record index exactly once.
-///
-/// The branch side deliberately has **no** per-entry spans: the demand
+/// The branch side deliberately has **no** per-entry plans: the demand
 /// scan's shared reverse cursor must consume every passed record to stay
 /// bit-identical to the sequential path (each passed record feeds other
 /// entries' inferences and the BTB), so an entry-skipping walk is
@@ -412,14 +519,10 @@ impl ReconGeometry {
 /// every log that reconstructs can be sealed.
 #[derive(Clone, Debug)]
 pub(crate) struct ReconIndex {
-    /// Geometry the spans were keyed by.
+    /// Geometry the branch side was keyed by.
     pub(crate) geom: ReconGeometry,
-    /// Memory-side spans are valid for exactly this `mem_len` (`None` =
-    /// not sealed).
-    mem_sealed: Option<usize>,
-    /// First memory record the spans index: they serve a scan whose cut is
-    /// at or after it.
-    pub(crate) mem_from: usize,
+    /// The memory side: the L1I, L1D and L2 plans, in that order.
+    pub(crate) plans: [LevelPlan; 3],
     /// Branch-side columns are valid for exactly this `branch_len`.
     br_sealed: Option<usize>,
     /// First branch record of the sealed budget's window: `pht_key`,
@@ -429,19 +532,6 @@ pub(crate) struct ReconIndex {
     /// [`BR_F_PHT_FLUSH_LW`] placement depends on the budget window, so a
     /// reconstructor running a different budget must not use the index.
     pub(crate) br_pct: Option<Pct>,
-    /// L1I span bounds: set `s` owns `l1i_idx[l1i_off[s]..l1i_off[s+1]]`.
-    pub(crate) l1i_off: Vec<u32>,
-    /// Instruction record indices, newest-first within each set span.
-    pub(crate) l1i_idx: Vec<u32>,
-    /// L1D span bounds.
-    pub(crate) l1d_off: Vec<u32>,
-    /// Data record indices, newest-first within each set span.
-    pub(crate) l1d_idx: Vec<u32>,
-    /// Unified-L2 span bounds.
-    pub(crate) l2_off: Vec<u32>,
-    /// Every window memory record index, newest-first within each L2 set
-    /// span.
-    pub(crate) l2_idx: Vec<u32>,
     /// PHT index probed by each window branch record (`CHAIN_NONE` for
     /// non-conditional records), from the sealed GHR forward pass;
     /// relative to `br_from`.
@@ -471,9 +561,9 @@ pub(crate) struct ReconIndex {
     /// `ghr_at_start` value the PHT keys were hashed under — every key
     /// depends on it, so a changed start GHR invalidates the seal.
     pub(crate) ghr_start: u64,
-    /// Counting-sort cursor scratch, kept so pooled logs re-seal without
-    /// reallocating.
-    scratch: Vec<u32>,
+    /// Branch-seal flush last-writer candidates, kept so pooled logs
+    /// re-seal without reallocating.
+    lw_scratch: Vec<u32>,
     /// Branch-seal scratch (per-key inference state + BTB seen bitmap),
     /// kept for the same reason.
     br_scratch: Vec<u8>,
@@ -512,45 +602,44 @@ impl ReconIndex {
     pub(crate) fn new(geom: ReconGeometry) -> ReconIndex {
         ReconIndex {
             geom,
-            mem_sealed: None,
-            mem_from: 0,
+            plans: geom.plan_keys().map(LevelPlan::new),
             br_sealed: None,
             br_from: 0,
             br_pct: None,
-            l1i_off: Vec::new(),
-            l1i_idx: Vec::new(),
-            l1d_off: Vec::new(),
-            l1d_idx: Vec::new(),
-            l2_off: Vec::new(),
-            l2_idx: Vec::new(),
             pht_key: Vec::new(),
             br_flags: Vec::new(),
             br_hot: Vec::new(),
             pht_state: Vec::new(),
             ghr_final: 0,
             ghr_start: 0,
-            scratch: Vec::new(),
+            lw_scratch: Vec::new(),
             br_scratch: Vec::new(),
         }
     }
 
-    /// Drops the sealed state but keeps every allocation (indexes ride
-    /// pooled logs across regions, like the columns they chain).
-    fn unseal(&mut self) {
-        self.mem_sealed = None;
+    /// Drops the sealed branch side but keeps every allocation (indexes
+    /// ride pooled logs across regions, like the columns they describe).
+    fn unseal_branch(&mut self) {
         self.br_sealed = None;
         self.br_pct = None;
     }
 
-    /// Re-keys the scratch to a different geometry, keeping every
-    /// allocation. The build passes size their spans and chains from the
-    /// geometry and record count on each call, so one scratch index can
-    /// serve many machine configs back to back — the sweep engine
-    /// retargets per config instead of holding one index per config
-    /// resident.
+    /// Drops both sealed sides, keeping every allocation.
+    fn unseal(&mut self) {
+        for plan in &mut self.plans {
+            plan.sealed = None;
+        }
+        self.unseal_branch();
+    }
+
+    /// Re-keys the branch side to a different geometry, keeping every
+    /// allocation. The build sizes its columns from the geometry and
+    /// record count on each call, so one scratch index can serve many
+    /// machine configs back to back — the sweep engine retargets per
+    /// config instead of holding one index per config resident.
     pub(crate) fn retarget(&mut self, geom: ReconGeometry) {
         self.geom = geom;
-        self.unseal();
+        self.unseal_branch();
     }
 }
 
@@ -1019,7 +1108,7 @@ impl SkipLog {
         (0..self.branches.len()).map(move |i| self.branch_at(i))
     }
 
-    /// The reverse cache scan's view: `(addr, is_inst)` newest-first,
+    /// A sequential reverse cache scan's view: `(addr, is_inst)` newest-first,
     /// reading only the packed address and tag columns (no record
     /// materialization, maximum scan locality).
     pub fn mem_refs_rev(&self) -> impl ExactSizeIterator<Item = (Addr, bool)> + '_ {
@@ -1045,20 +1134,14 @@ impl SkipLog {
         self.bytes
     }
 
-    /// Raw memory-record address column (the partitioned walker's
-    /// random-access view; span indices point into it).
-    pub(crate) fn mem_addrs(&self) -> &[u64] {
-        &self.mem_addr
-    }
-
     /// Takes the index box out for (re)building, recycling allocations and
-    /// resetting it on a geometry change.
+    /// unsealing the branch side on a geometry change (the plans carry
+    /// their own keys).
     fn take_index(&mut self, geom: &ReconGeometry) -> Box<ReconIndex> {
         match self.index.take() {
             Some(mut ix) => {
                 if ix.geom != *geom {
-                    ix.geom = *geom;
-                    ix.unseal();
+                    ix.retarget(*geom);
                 }
                 ix
             }
@@ -1066,125 +1149,108 @@ impl SkipLog {
         }
     }
 
-    /// Seals the memory-side spans (L1I / L1D / L2) over the whole log:
+    /// Seals the three cache-level plans over the whole log:
     /// [`SkipLog::seal_mem_window`] at 100 %, which serves a reverse scan
     /// at any budget.
     pub fn seal_mem_index(&mut self, geom: &ReconGeometry) {
         self.seal_mem_window(geom, Pct::new(100));
     }
 
-    /// Seals the memory-side spans (L1I / L1D / L2) over the scan window
-    /// of budget `pct`, the newest `pct.of(mem_len)` records: a counting
-    /// sort bucketing every window record index by set, each set's span
-    /// filled newest-first. The seal serves a reverse scan at `pct` or any
-    /// narrower budget. Idempotent for an unchanged log and geometry when
-    /// the sealed window already covers this one. A truncated region holds
-    /// no history and never reconstructs, so it is left unsealed.
+    /// Seals the L1I, L1D and L2 reconstruction plans for `geom` over the
+    /// scan window of budget `pct`, the newest `pct.of(mem_len)` records
+    /// (see [`LevelPlan`]). The seal serves a reverse scan at `pct` or any
+    /// narrower budget. A plan already sealed for this log and level whose
+    /// window covers this one is kept. A truncated region holds no history
+    /// and never reconstructs, so it is left unsealed.
     pub fn seal_mem_window(&mut self, geom: &ReconGeometry, pct: Pct) {
-        let n = self.mem_addr.len();
         if self.truncated {
             return;
         }
+        let n = self.mem_addr.len();
         let from = n - pct.of(n);
-        if self
-            .index
-            .as_deref()
-            .is_some_and(|ix| ix.geom == *geom && ix.mem_sealed == Some(n) && ix.mem_from <= from)
-        {
-            return;
-        }
         let mut ix = self.take_index(geom);
-        self.build_mem_index_into(geom, from, &mut ix);
+        for (plan, key) in ix.plans.iter_mut().zip(geom.plan_keys()) {
+            if plan.key == key && plan.sealed == Some(n) && plan.from <= from {
+                continue;
+            }
+            plan.retarget(key);
+            self.build_level_plan_into(from, plan);
+        }
         self.index = Some(ix);
     }
 
-    /// [`SkipLog::seal_mem_window`]'s body over an *external* index — the
-    /// per-configuration scratch a sweep replay owns, so N detailed
-    /// configurations can each key the same shared, immutable log without
-    /// touching it — indexing records `from..mem_len`. `ix` must already
-    /// be keyed for `geom` (see [`ReconIndex::retarget`]). Cannot fail:
-    /// the record ceiling keeps every record index of a log below
-    /// `u32::MAX`.
-    pub(crate) fn build_mem_index_into(
+    /// Builds `plan` for its key over the window `from..mem_len`: one
+    /// newest-first pass over the level's records that keeps, per set,
+    /// the first `assoc` distinct tags it meets (with the record index
+    /// it met each at) and stops as soon as every set holds `assoc`.
+    /// Writes into an *external* plan so a sweep can plan one shared,
+    /// immutable log for many geometries. Cannot fail: the record ceiling
+    /// keeps every record index of a log below `u32::MAX`.
+    pub(crate) fn build_level_plan_into(&self, from: usize, plan: &mut LevelPlan) {
+        match plan.key.level {
+            Level::L1i => self.plan_pass(from, plan, |log, i| log.mem_tag(i) & 1 != 0),
+            Level::L1d => self.plan_pass(from, plan, |log, i| log.mem_tag(i) & 1 == 0),
+            Level::L2 => self.plan_pass(from, plan, |_, _| true),
+        }
+    }
+
+    /// [`SkipLog::build_level_plan_into`]'s pass, monomorphized per level
+    /// record filter `reads`.
+    fn plan_pass(
         &self,
-        geom: &ReconGeometry,
         from: usize,
-        ix: &mut ReconIndex,
+        plan: &mut LevelPlan,
+        reads: impl Fn(&SkipLog, usize) -> bool,
     ) {
-        debug_assert_eq!(ix.geom, *geom, "retarget the index before building");
         let n = self.mem_addr.len();
         debug_assert!(!over_record_ceiling(n, 0));
         debug_assert!(from <= n);
-        let (l1i_mask, l1d_mask, l2_mask) =
-            (geom.l1i_sets - 1, geom.l1d_sets - 1, geom.l2_sets - 1);
-
-        // Counting pass: per-set populations for all three levels at once.
-        // Exactly one L1 bucket per record: instruction records belong to
-        // the L1I, data records to the L1D.
-        ix.scratch.clear();
-        ix.scratch.resize(geom.l1i_sets + geom.l1d_sets + geom.l2_sets, 0);
-        let (l1_cnt, l2_cnt) = ix.scratch.split_at_mut(geom.l1i_sets + geom.l1d_sets);
-        let (l1i_cnt, l1d_cnt) = l1_cnt.split_at_mut(geom.l1i_sets);
-        for i in from..n {
+        let PlanKey { sets, line_shift, assoc, .. } = plan.key;
+        let set_mask = sets - 1;
+        let tag_shift = line_shift + sets.trailing_zeros();
+        plan.lens.clear();
+        plan.lens.resize(sets, 0);
+        // Slots past a set's length are never read, so the columns are
+        // only grown, never cleared.
+        if plan.tags.len() < sets * assoc {
+            plan.tags.resize(sets * assoc, 0);
+            plan.recs.resize(sets * assoc, 0);
+        }
+        let mut open = sets;
+        for i in (from..n).rev() {
+            if !reads(self, i) {
+                continue;
+            }
             let addr = self.mem_addr[i];
-            if self.mem_tag(i) & 1 != 0 {
-                l1i_cnt[((addr >> geom.l1i_line_shift) as usize) & l1i_mask] += 1;
-            } else {
-                l1d_cnt[((addr >> geom.l1d_line_shift) as usize) & l1d_mask] += 1;
+            let set = ((addr >> line_shift) as usize) & set_mask;
+            let len = plan.lens[set] as usize;
+            if len == assoc {
+                continue;
             }
-            l2_cnt[((addr >> geom.l2_line_shift) as usize) & l2_mask] += 1;
-        }
-
-        // Prefix sums fix the span bounds; the counts become fill cursors
-        // set to each span's *end*.
-        fn spans(off: &mut Vec<u32>, cursors: &mut [u32]) -> usize {
-            off.clear();
-            off.reserve(cursors.len() + 1);
-            off.push(0);
-            let mut total = 0u32;
-            for c in cursors.iter_mut() {
-                total += *c;
-                *c = total;
-                off.push(total);
+            let tag = addr >> tag_shift;
+            let base = set * assoc;
+            if plan.tags[base..base + len].contains(&tag) {
+                continue;
             }
-            total as usize
-        }
-        let n_l1i = spans(&mut ix.l1i_off, l1i_cnt);
-        let n_l1d = spans(&mut ix.l1d_off, l1d_cnt);
-        spans(&mut ix.l2_off, l2_cnt);
-
-        // Fill pass, oldest record first: each record lands one slot ahead
-        // of its set's cursor, so every span reads newest-first.
-        ix.l1i_idx.clear();
-        ix.l1i_idx.resize(n_l1i, 0);
-        ix.l1d_idx.clear();
-        ix.l1d_idx.resize(n_l1d, 0);
-        ix.l2_idx.clear();
-        ix.l2_idx.resize(n - from, 0);
-        for i in from..n {
-            let addr = self.mem_addr[i];
-            if self.mem_tag(i) & 1 != 0 {
-                let s = ((addr >> geom.l1i_line_shift) as usize) & l1i_mask;
-                l1i_cnt[s] -= 1;
-                ix.l1i_idx[l1i_cnt[s] as usize] = i as u32;
-            } else {
-                let s = ((addr >> geom.l1d_line_shift) as usize) & l1d_mask;
-                l1d_cnt[s] -= 1;
-                ix.l1d_idx[l1d_cnt[s] as usize] = i as u32;
+            plan.tags[base + len] = tag;
+            plan.recs[base + len] = i as u32;
+            plan.lens[set] += 1;
+            if len + 1 == assoc {
+                open -= 1;
+                if open == 0 {
+                    break;
+                }
             }
-            let s = ((addr >> geom.l2_line_shift) as usize) & l2_mask;
-            l2_cnt[s] -= 1;
-            ix.l2_idx[l2_cnt[s] as usize] = i as u32;
         }
-        ix.mem_sealed = Some(n);
-        ix.mem_from = from;
+        plan.sealed = Some(n);
+        plan.from = from;
     }
 
     /// Seals the branch-side columns over the scan window of budget `pct`:
     /// the GHR forward pass (§3.2's "last *n* branches" walk, done once
     /// here instead of per reconstructor) yielding every window record's
     /// PHT key and the region-final GHR, then the reverse pass placing the
-    /// scan verdicts. No per-entry spans are built — the demand scan's
+    /// scan verdicts. No per-entry plans are built — the demand scan's
     /// shared cursor must consume every record it passes to stay
     /// bit-identical to the sequential path, so it could never skip along
     /// them (see [`ReconIndex`]). [`SkipLog::ghr_at_start`] must already
@@ -1288,7 +1354,7 @@ impl SkipLog {
         let (states, seen) = ix.br_scratch.split_at_mut(pht_entries);
         let (pht_done, seen) = seen.split_at_mut(pht_entries.div_ceil(8));
         let (lw_seen, btb_seen) = seen.split_at_mut(pht_entries.div_ceil(8));
-        let mut lw = std::mem::take(&mut ix.scratch);
+        let mut lw = std::mem::take(&mut ix.lw_scratch);
         lw.clear();
         for j in (0..len).rev() {
             let i = from + j;
@@ -1340,7 +1406,7 @@ impl SkipLog {
                 ix.br_flags[j as usize] |= BR_F_PHT_FLUSH_LW;
             }
         }
-        ix.scratch = lw;
+        ix.lw_scratch = lw;
         // The flush last-writer bits are only final after the pass above,
         // so the hot worklist is compacted here: one sequential sweep of
         // the window's flag bytes.
@@ -1358,13 +1424,14 @@ impl SkipLog {
         ix.br_pct = Some(pct);
     }
 
-    /// The sealed memory-side spans, if they still describe the current
-    /// columns. Consumers must additionally verify [`ReconIndex::geom`]
-    /// against their own structures, and [`ReconIndex::mem_from`] against
-    /// their scan's cut, before walking.
-    pub(crate) fn mem_index(&self) -> Option<&ReconIndex> {
-        let ix = self.index.as_deref()?;
-        (ix.mem_sealed == Some(self.mem_addr.len())).then_some(ix)
+    /// The L1I, L1D and L2 plans sealed into the log, whatever
+    /// they were sealed for: consumers check each against their own cache,
+    /// the log's current length and their scan's cut before applying it.
+    pub(crate) fn mem_plans(&self) -> [Option<&LevelPlan>; 3] {
+        match self.index.as_deref() {
+            Some(ix) => ix.plans.each_ref().map(Some),
+            None => [None; 3],
+        }
     }
 
     /// The sealed branch-side columns, if they still describe the current
@@ -1816,10 +1883,13 @@ mod tests {
         let geom = ReconGeometry {
             l1i_sets: 1,
             l1i_line_shift: 6,
+            l1i_assoc: 1,
             l1d_sets: 1,
             l1d_line_shift: 6,
+            l1d_assoc: 1,
             l2_sets: 1,
             l2_line_shift: 6,
+            l2_assoc: 1,
             ghr_bits: 6,
             btb_entries: 16,
         };
@@ -1862,6 +1932,179 @@ mod tests {
                 assert_eq!(ix.ghr_final, ghr_final, "{what}: final GHR, start {ghr_at_start:#x}");
             }
         }
+    }
+
+    /// A memory-only log of `n` records over a few dozen lines: every
+    /// third record an instruction fetch, the rest loads and stores, from
+    /// a fixed-seed LCG.
+    fn mem_log(n: usize) -> SkipLog {
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        let records = (0..n).map(|k| {
+            x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
+            let line = (x >> 33) % 48;
+            if k % 3 == 0 {
+                let addr = 0x1_0000 + line * 64;
+                MemRecord { pc: addr, next_pc: addr + 4, addr, is_inst: true, is_store: false }
+            } else {
+                let addr = 0x40_0000 + line * 64 + (x >> 60);
+                MemRecord {
+                    pc: 0x1000,
+                    next_pc: 0x1004,
+                    addr,
+                    is_inst: false,
+                    is_store: k % 5 == 0,
+                }
+            }
+        });
+        SkipLog::from_records(records, [], 0)
+    }
+
+    fn plan_key(level: Level, sets: usize, assoc: usize) -> PlanKey {
+        PlanKey { level, sets, line_shift: 6, assoc }
+    }
+
+    /// Per set, `(tag, newest record index)` of every entry, newest first.
+    fn plan_entries(plan: &LevelPlan) -> Vec<Vec<(u64, u32)>> {
+        (0..plan.key.sets)
+            .map(|set| {
+                let (tags, recs) = plan.set_entries(set);
+                tags.iter().copied().zip(recs.iter().copied()).collect()
+            })
+            .collect()
+    }
+
+    /// What the plan must hold: a naive newest-first walk over every
+    /// record of `from..`, keeping per set the first `assoc` distinct tags
+    /// the level reads, with no early stop.
+    fn naive_plan(log: &SkipLog, key: &PlanKey, from: usize) -> Vec<Vec<(u64, u32)>> {
+        let mut sets = vec![Vec::new(); key.sets];
+        for i in (from..log.mem_len()).rev() {
+            let r = log.mem_at(i);
+            let reads = match key.level {
+                Level::L1i => r.is_inst,
+                Level::L1d => !r.is_inst,
+                Level::L2 => true,
+            };
+            if !reads {
+                continue;
+            }
+            let set = ((r.addr >> key.line_shift) as usize) % key.sets;
+            let tag = r.addr >> key.line_shift >> key.sets.trailing_zeros();
+            let entries: &mut Vec<(u64, u32)> = &mut sets[set];
+            if entries.len() < key.assoc && entries.iter().all(|&(t, _)| t != tag) {
+                entries.push((tag, i as u32));
+            }
+        }
+        sets
+    }
+
+    #[test]
+    fn level_plans_match_a_naive_newest_first_dedup() {
+        let log = mem_log(600);
+        let n = log.mem_len();
+        for level in [Level::L1i, Level::L1d, Level::L2] {
+            // 4 x 2 completes every set within the newest records (the
+            // early stop); 16 x 4 over 48 lines leaves sets open, so the
+            // pass runs to the window start.
+            for (sets, assoc) in [(4, 2), (16, 4), (1, 1)] {
+                let key = plan_key(level, sets, assoc);
+                for from in [0, n / 2, n - n / 5, n - 1, n] {
+                    let mut plan = LevelPlan::new(key);
+                    log.build_level_plan_into(from, &mut plan);
+                    let what = format!("{level:?} {sets}x{assoc} from {from}");
+                    assert_eq!(plan_entries(&plan), naive_plan(&log, &key, from), "{what}");
+                    assert_eq!((plan.sealed, plan.from), (Some(n), from), "{what}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn level_plan_stops_once_every_set_is_complete() {
+        // The newest 8 records fill both 2-way sets of the L2 plan; the
+        // 500 older records would add nothing, and the pass never needs
+        // to read them.
+        let newest = (0..8u64).map(|k| {
+            let addr = 0x40_0000 + (k % 4) * 64;
+            MemRecord { pc: 0x1000, next_pc: 0x1004, addr, is_inst: false, is_store: false }
+        });
+        let older = mem_log(500).mem_records().collect::<Vec<_>>();
+        let log = SkipLog::from_records(older.into_iter().chain(newest), [], 0);
+        let key = plan_key(Level::L2, 2, 2);
+        let mut plan = LevelPlan::new(key);
+        log.build_level_plan_into(0, &mut plan);
+        let entries = plan_entries(&plan);
+        assert_eq!(entries, naive_plan(&log, &key, 0));
+        assert!(entries.iter().all(|set| set.len() == 2), "every set completes");
+        let oldest = entries.iter().flatten().map(|&(_, i)| i).min();
+        assert_eq!(oldest, Some(504), "complete within the newest 4 records");
+    }
+
+    #[test]
+    fn empty_windows_plan_nothing() {
+        let empty = SkipLog::new(true, false, 0);
+        let log = mem_log(100);
+        for level in [Level::L1i, Level::L1d, Level::L2] {
+            let key = plan_key(level, 4, 2);
+            for (what, log, from) in [("empty log", &empty, 0), ("zero-record window", &log, 100)] {
+                let mut plan = LevelPlan::new(key);
+                log.build_level_plan_into(from, &mut plan);
+                assert!(plan_entries(&plan).iter().all(Vec::is_empty), "{what} {level:?}");
+                assert_eq!((plan.sealed, plan.from), (Some(log.mem_len()), from), "{what}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_wider_plan_serves_any_narrower_cut_through_its_prefix() {
+        // The prefix rule the engine relies on when one plan sealed at the
+        // widest budget serves every narrower scan: cut a 100 % plan at
+        // the window start of a narrower budget and it must equal the plan
+        // built over that window, entry for entry, so the same sets
+        // complete.
+        let log = mem_log(900);
+        let n = log.mem_len();
+        for level in [Level::L1i, Level::L1d, Level::L2] {
+            for (sets, assoc) in [(4, 2), (16, 4), (32, 8)] {
+                let key = plan_key(level, sets, assoc);
+                let mut wide = LevelPlan::new(key);
+                log.build_level_plan_into(0, &mut wide);
+                for pct in [1u8, 2, 5, 20, 61, 100] {
+                    let cut = n - Pct::new(pct).of(n);
+                    let mut narrow = LevelPlan::new(key);
+                    log.build_level_plan_into(cut, &mut narrow);
+                    let prefix: Vec<Vec<(u64, u32)>> = plan_entries(&wide)
+                        .into_iter()
+                        .map(|set| set.into_iter().filter(|&(_, i)| i as usize >= cut).collect())
+                        .collect();
+                    let narrow = plan_entries(&narrow);
+                    let what = format!("{level:?} {sets}x{assoc} at {pct}%");
+                    assert_eq!(prefix, narrow, "{what}");
+                    let complete = |p: &[Vec<(u64, u32)>]| {
+                        p.iter().map(|set| set.len() == assoc).collect::<Vec<_>>()
+                    };
+                    assert_eq!(complete(&prefix), complete(&narrow), "{what}: complete sets");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn seal_keeps_a_covering_plan_and_replans_a_changed_geometry() {
+        let machine = crate::MachineConfig::paper();
+        let geom = ReconGeometry::of_machine(&machine);
+        let mut log = mem_log(400);
+        log.seal_mem_index(&geom);
+        // A narrower budget is served by the whole-log plans.
+        log.seal_mem_window(&geom, Pct::new(20));
+        assert!(log.mem_plans().iter().all(|p| p.is_some_and(|p| p.from == 0)));
+        // Another L2 associativity re-plans the L2 level only.
+        let other = ReconGeometry { l2_assoc: 2 * geom.l2_assoc, ..geom };
+        log.seal_mem_window(&other, Pct::new(20));
+        let [l1i, l1d, l2] = log.mem_plans().map(|p| p.map(|p| (p.key, p.from)));
+        assert_eq!(l1i, Some((geom.plan_keys()[0], 0)));
+        assert_eq!(l1d, Some((geom.plan_keys()[1], 0)));
+        assert_eq!(l2, Some((other.plan_keys()[2], 400 - Pct::new(20).of(400))));
     }
 
     #[test]

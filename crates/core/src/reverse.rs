@@ -1,16 +1,18 @@
 //! Reverse State Reconstruction — the paper's contribution (§3).
 //!
-//! Both halves run through one path: the log's reconstruction index
-//! ([`crate::ReconGeometry`]-keyed, see `ReconIndex`). A caller whose log
-//! is unsealed, or sealed for another geometry or scan budget, gets an
-//! index built for that call — the geometry check only decides where the
-//! index comes from, never which algorithm runs.
+//! Both halves run through one path: the log's reconstruction index (per
+//! cache level plans and [`crate::ReconGeometry`]-keyed branch columns,
+//! see `ReconIndex`). A caller whose log is unsealed, or sealed for
+//! another geometry or scan budget, gets a plan or index built for that
+//! call — the fit check only decides where it comes from, never which
+//! algorithm runs.
 //!
-//! * [`reconstruct_caches_partitioned`]: §3.1 — scan the logged reference
-//!   stream newest-first and repair L1I/L1D/L2 state, walking each set's
-//!   index span with per-set early exit, so references whose set is
-//!   already complete are skipped (ineffectual instructions isolated with
-//!   no profiling).
+//! * [`reconstruct_caches_partitioned`]: §3.1 — repair L1I/L1D/L2 state
+//!   by applying each level's reconstruction plan: per set, the distinct
+//!   blocks the newest-first scan of the logged reference stream would
+//!   reconstruct, found once per log and level, so references the scan
+//!   would ignore are never visited again (ineffectual instructions
+//!   isolated with no profiling).
 //! * [`BpReconstructor`]: §3.2 — rebuild the global history register and
 //!   the return address stack eagerly, then reconstruct PHT counters (via
 //!   reverse-history inference sealed into the index) and BTB entries *on
@@ -25,7 +27,9 @@ use rsr_cache::{Cache, MemHierarchy};
 use rsr_isa::{Addr, CtrlKind};
 use rsr_timing::PredictHook;
 
-use crate::log::{ReconIndex, BR_F_BTB_LW, BR_F_PHT_FLUSH_LW, BR_F_PHT_RESOLVE};
+use crate::log::{
+    Level, LevelPlan, PlanKey, ReconIndex, BR_F_BTB_LW, BR_F_PHT_FLUSH_LW, BR_F_PHT_RESOLVE,
+};
 use crate::{Pct, ReconGeometry, SkipLog};
 
 /// Counters describing one region's reconstruction work (for the paper's
@@ -100,7 +104,7 @@ impl ReconTiming {
     }
 }
 
-/// One level's aggregate over its per-set span walks.
+/// One level's aggregate over its per-set plan applications.
 struct LevelAgg {
     inserted: u64,
     marked: u64,
@@ -112,63 +116,56 @@ struct LevelAgg {
     t_level: usize,
 }
 
-/// Walks every set of one cache level newest-first along its contiguous
-/// index span (see [`Cache::reconstruct_span`]), stopping each set at the
-/// budget cut or as soon as it completes.
-fn walk_cache(cache: &mut Cache, off: &[u32], idx: &[u32], addrs: &[u64], cut: usize) -> LevelAgg {
-    let n = addrs.len();
+/// The plan for `level` of `cache` and a scan of `log` that stops at
+/// record `cut`: `plan` when it fits — keyed for this level, set
+/// count, line size and associativity, sealed for this log length, and
+/// built over a window reaching back to `cut` (a wider seal serves a
+/// narrower scan through the prefix rule) — else one built from `log`
+/// over `cut..` for this call.
+fn plan_for<'a>(
+    cache: &Cache,
+    level: Level,
+    log: &SkipLog,
+    plan: Option<&'a LevelPlan>,
+    cut: usize,
+) -> Cow<'a, LevelPlan> {
+    let key = PlanKey {
+        level,
+        sets: cache.num_sets(),
+        line_shift: cache.line_shift(),
+        assoc: cache.assoc(),
+    };
+    let fits = |p: &&LevelPlan| p.key == key && p.sealed == Some(log.mem_len()) && p.from <= cut;
+    if let Some(p) = plan.filter(fits) {
+        return Cow::Borrowed(p);
+    }
+    let mut p = LevelPlan::new(key);
+    log.build_level_plan_into(cut, &mut p);
+    Cow::Owned(p)
+}
+
+/// Applies a level's plan to `cache` for a scan of an `n`-record log that
+/// stops at record `cut`: each set gets the prefix of its entries at or
+/// after the cut (entries run newest first), and completes exactly when
+/// that prefix holds `assoc` entries — at its last entry's record index,
+/// which is where the sequential scan would have completed it.
+fn apply_plan(cache: &mut Cache, plan: &LevelPlan, n: usize, cut: usize) -> LevelAgg {
     let cut = cut as u32;
+    let assoc = cache.assoc();
     let mut agg = LevelAgg { inserted: 0, marked: 0, complete: true, t_level: 0 };
     for set in 0..cache.num_sets() {
-        let span = &idx[off[set] as usize..off[set + 1] as usize];
-        let out = cache.reconstruct_span(set, span, addrs, cut);
+        let (tags, recs) = plan.set_entries(set);
+        let k = recs.partition_point(|&i| i >= cut);
+        let out = cache.reconstruct_plan(set, &tags[..k]);
         agg.inserted += u64::from(out.inserted);
         agg.marked += u64::from(out.marked);
-        match out.completed_at {
-            Some(i) => agg.t_level = agg.t_level.max(n - 1 - i as usize),
-            None => agg.complete = false,
+        if k == assoc {
+            agg.t_level = agg.t_level.max(n - 1 - recs[k - 1] as usize);
+        } else {
+            agg.complete = false;
         }
     }
     agg
-}
-
-fn geom_matches_hier(ix: &ReconIndex, hier: &MemHierarchy) -> bool {
-    let g = &ix.geom;
-    g.l1i_sets == hier.l1i.num_sets()
-        && g.l1i_line_shift == hier.l1i.line_shift()
-        && g.l1d_sets == hier.l1d.num_sets()
-        && g.l1d_line_shift == hier.l1d.line_shift()
-        && g.l2_sets == hier.l2.num_sets()
-        && g.l2_line_shift == hier.l2.line_shift()
-}
-
-/// The memory-side index for `hier` and a scan that stops at record
-/// `cut`: `index` when it was keyed for `hier`'s set geometry and its
-/// window reaches back to `cut` (a wider seal serves a narrower scan),
-/// else one built from `log` over `cut..` for this call.
-fn mem_index_for<'a>(
-    hier: &MemHierarchy,
-    log: &SkipLog,
-    index: Option<&'a ReconIndex>,
-    cut: usize,
-) -> Cow<'a, ReconIndex> {
-    if let Some(ix) = index.filter(|ix| geom_matches_hier(ix, hier) && ix.mem_from <= cut) {
-        return Cow::Borrowed(ix);
-    }
-    // A memory-side build reads only the cache fields.
-    let geom = ReconGeometry {
-        l1i_sets: hier.l1i.num_sets(),
-        l1i_line_shift: hier.l1i.line_shift(),
-        l1d_sets: hier.l1d.num_sets(),
-        l1d_line_shift: hier.l1d.line_shift(),
-        l2_sets: hier.l2.num_sets(),
-        l2_line_shift: hier.l2.line_shift(),
-        ghr_bits: 0,
-        btb_entries: 0,
-    };
-    let mut ix = ReconIndex::new(geom);
-    log.build_mem_index_into(&geom, cut, &mut ix);
-    Cow::Owned(ix)
 }
 
 /// The branch-side index for `pred`: `index` when it was keyed for
@@ -196,10 +193,13 @@ fn branch_index_for<'a>(
     let geom = ReconGeometry {
         l1i_sets: 0,
         l1i_line_shift: 0,
+        l1i_assoc: 0,
         l1d_sets: 0,
         l1d_line_shift: 0,
+        l1d_assoc: 0,
         l2_sets: 0,
         l2_line_shift: 0,
+        l2_assoc: 0,
         ghr_bits,
         btb_entries,
     };
@@ -209,20 +209,20 @@ fn branch_index_for<'a>(
 }
 
 /// Reverse cache reconstruction (§3.1) over the last `pct` of the logged
-/// reference stream, through the log's partitioned index: each set's
-/// newest-first index span is walked independently with per-set early
-/// exit. Instruction records repair the L1I, data records the L1D, and
-/// both repair the unified L2.
+/// reference stream, by applying one reconstruction plan per level:
+/// instruction records repair the L1I, data records the L1D, and both the
+/// unified L2.
 ///
 /// Counters and final cache state are those of the paper's sequential
 /// newest-first scan that stops once every set of every level is
-/// reconstructed: span order per set equals that scan's per-set
-/// subsequence, mutations only ever happen before its stopping point, and
-/// the scan-length accounting is reconstructed from the per-set
-/// completion offsets (see DESIGN.md §11 for the argument). A log whose
-/// sealed index does not fit `hier` and `pct` — unsealed, stale, sealed
-/// for another geometry, or sealed over a window narrower than `pct`'s —
-/// is indexed for this call, over `pct`'s window only.
+/// reconstructed: a plan holds exactly the references that scan would
+/// act on, per set and in its order, mutations only ever happen before
+/// its stopping point, and the scan-length accounting is reconstructed
+/// from the per-set completion points (see DESIGN.md §11 for the
+/// argument). The log's sealed plans are used where they fit `hier` and
+/// `pct`; a level whose plan does not — unsealed, stale, sealed for
+/// another geometry or associativity, or sealed over a window narrower
+/// than `pct`'s — is planned for this call, over `pct`'s window only.
 ///
 /// Returns per-structure wall time alongside the counters.
 ///
@@ -235,35 +235,37 @@ pub fn reconstruct_caches_partitioned(
     pct: Pct,
     _recon_threads: usize,
 ) -> (ReconStats, ReconTiming) {
-    reconstruct_caches_partitioned_with(hier, log, log.mem_index(), pct)
+    reconstruct_caches_partitioned_with(hier, log, log.mem_plans(), pct)
 }
 
-/// [`reconstruct_caches_partitioned`] over an explicitly supplied index —
-/// the sweep engine's entry point, where the sealed log is shared
-/// (immutable) across configurations and each replay builds its own
-/// per-geometry index into external scratch. The geometry check is
-/// applied here, so both entry points run the exact same code on the
-/// exact same inputs.
+/// [`reconstruct_caches_partitioned`] over explicitly supplied plans (L1I,
+/// L1D, L2) — the sweep engine's entry point, where the sealed log is
+/// shared (immutable) across configurations and each level's plan is
+/// built once per window into external scratch. The fit check is applied
+/// here, so both entry points run the exact same code on the exact same
+/// inputs.
 pub(crate) fn reconstruct_caches_partitioned_with(
     hier: &mut MemHierarchy,
     log: &SkipLog,
-    index: Option<&ReconIndex>,
+    plans: [Option<&LevelPlan>; 3],
     pct: Pct,
 ) -> (ReconStats, ReconTiming) {
     let mut timing = ReconTiming::default();
     let n = log.mem_len();
     let budget = pct.of(n);
     let cut = n - budget;
-    let ix = mem_index_for(hier, log, index, cut);
-    let addrs = log.mem_addrs();
+    let [l1i_plan, l1d_plan, l2_plan] = plans;
+    let l1i_plan = plan_for(&hier.l1i, Level::L1i, log, l1i_plan, cut);
+    let l1d_plan = plan_for(&hier.l1d, Level::L1d, log, l1d_plan, cut);
+    let l2_plan = plan_for(&hier.l2, Level::L2, log, l2_plan, cut);
     hier.begin_reconstruction();
 
     let t = Instant::now();
-    let l1i = walk_cache(&mut hier.l1i, &ix.l1i_off, &ix.l1i_idx, addrs, cut);
-    let l1d = walk_cache(&mut hier.l1d, &ix.l1d_off, &ix.l1d_idx, addrs, cut);
+    let l1i = apply_plan(&mut hier.l1i, &l1i_plan, n, cut);
+    let l1d = apply_plan(&mut hier.l1d, &l1d_plan, n, cut);
     timing.l1_ns = t.elapsed().as_nanos() as u64;
     let t = Instant::now();
-    let l2 = walk_cache(&mut hier.l2, &ix.l2_off, &ix.l2_idx, addrs, cut);
+    let l2 = apply_plan(&mut hier.l2, &l2_plan, n, cut);
     timing.l2_ns = t.elapsed().as_nanos() as u64;
     hier.finish_reconstruction();
 

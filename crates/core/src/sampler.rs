@@ -22,12 +22,12 @@ use rsr_stats::ClusterSample;
 use rsr_timing::{simulate_cluster, simulate_cluster_hooked, CoreConfig, HotStats, NoHook};
 
 use crate::fault::FaultInjector;
-use crate::log::{LogPool, ReconGeometry, ReconIndex};
+use crate::log::{LevelPlan, LogPool, ReconGeometry, ReconIndex};
 use crate::profiled::{profile_reuse, ReusePolicy};
 use crate::reverse::{
     reconstruct_caches_partitioned_with, BpReconstructor, ReconStats, ReconTiming,
 };
-use crate::{ClusterWindow, Pct, SkipLog, WarmupPolicy};
+use crate::{ClusterWindow, SkipLog, WarmupPolicy};
 
 /// Errors surfaced by the sampled simulator.
 ///
@@ -426,16 +426,16 @@ pub(crate) fn policy_decouples(policy: WarmupPolicy) -> bool {
     matches!(policy, WarmupPolicy::Reverse { .. } | WarmupPolicy::None)
 }
 
-/// A borrowed view of the reconstruction index a window should consult,
-/// decoupled from where that index lives. The in-process engines read it
-/// out of the log's own sealed box ([`SkipLog::mem_index`] /
-/// [`SkipLog::branch_index`]); the sweep engine builds it into external
-/// per-task scratch because the shared `Arc<SkipLog>` is immutable and its
-/// index is geometry-keyed while each sweep config has its own geometry.
-/// `ghr_at_start` is the global history the predictor held when the skip
-/// region began — the branch-key seed (§3.2).
+/// A borrowed view of the reconstruction plans and branch index a window
+/// should consult, decoupled from where they live. The in-process engines
+/// read them out of the log's own sealed box ([`SkipLog::mem_plans`] /
+/// [`SkipLog::branch_index`]); the sweep engine builds them into external
+/// per-window scratch because the shared `Arc<SkipLog>` is immutable while
+/// each sweep config has its own geometry. `mem` holds the L1I, L1D and
+/// L2 plans. `ghr_at_start` is the global history the predictor held when
+/// the skip region began — the branch-key seed (§3.2).
 pub(crate) struct WindowIndex<'l> {
-    pub mem: Option<&'l ReconIndex>,
+    pub mem: [Option<&'l LevelPlan>; 3],
     pub br: Option<&'l ReconIndex>,
     pub ghr_at_start: u64,
 }
@@ -478,8 +478,8 @@ pub(crate) fn detailed_window(
             outcome.clusters_degraded += 1;
         } else {
             // Eager reconstruction immediately before the cluster, through
-            // the partitioned index (built for the call when the view
-            // carries none that fits a side).
+            // the view's plans and branch index (built for the call where
+            // the view carries none that fits).
             let t = Instant::now();
             if cache {
                 let (stats, timing) = reconstruct_caches_partitioned_with(hier, log, ix.mem, pct);
@@ -518,11 +518,11 @@ pub(crate) fn detailed_window(
 }
 
 /// The in-process wrapper over [`detailed_window`]: seals the log's own
-/// boxed index for this machine's geometry, then hands the sealed view
-/// down. `log.ghr_at_start` is filled in *here*, from the follower's
-/// predictor, because the leader has no predictor — and during a skip
-/// region the predictor is untouched, so the value is identical to what
-/// sealing-time capture would record.
+/// boxed plans and branch index for this machine's geometry, then hands
+/// the sealed view down. `log.ghr_at_start` is filled in *here*, from the
+/// follower's predictor, because the leader has no predictor — and during
+/// a skip region the predictor is untouched, so the value is identical to
+/// what sealing-time capture would record.
 #[allow(clippy::too_many_arguments)]
 fn follower_window(
     machine: &MachineConfig,
@@ -542,10 +542,11 @@ fn follower_window(
             };
             if !log.truncated() {
                 log.ghr_at_start = pred.gshare.ghr();
-                // Sealing is idempotent: under the pipeline the leader
-                // already sealed the memory side, so only the branch side
-                // (whose keys need the GHR just captured) is built here.
-                // Charged to the warm phase alongside the reconstruction.
+                // Both sides seal here, on the follower's clock, charged to
+                // the warm phase alongside the reconstruction: the branch
+                // keys need the GHR just captured, and under the pipeline
+                // the leader's cold phase is the critical path, so it does
+                // no planning.
                 let t = Instant::now();
                 let geom = ReconGeometry::of_machine(machine);
                 if cache {
@@ -561,7 +562,7 @@ fn follower_window(
     };
     let log = log.map(|log| {
         let ix = WindowIndex {
-            mem: log.mem_index(),
+            mem: log.mem_plans(),
             br: log.branch_index(),
             ghr_at_start: log.ghr_at_start,
         };
@@ -761,13 +762,12 @@ pub(crate) fn run_windows_pipelined(
     debug_assert!(ctx.depth >= 2, "depth 1 is the sequential engine");
     debug_assert!(policy_decouples(policy), "caller must gate on policy_decouples");
     let t0 = Instant::now();
-    let (cache, bp, pct, logging) = match policy {
-        WarmupPolicy::Reverse { cache, bp, pct } => (cache, bp, pct, true),
-        _ => (false, false, Pct::new(100), false),
+    let (cache, bp, logging) = match policy {
+        WarmupPolicy::Reverse { cache, bp, .. } => (cache, bp, true),
+        _ => (false, false, false),
     };
     let mut leader_out = SampleOutcome::empty(policy);
     let mut leader_err: Option<SimError> = None;
-    let geom = ReconGeometry::of_machine(machine);
 
     let follower_result = thread::scope(|scope| {
         let (tx, rx) = mpsc::sync_channel::<HotItem>(ctx.depth - 1);
@@ -806,17 +806,7 @@ pub(crate) fn run_windows_pipelined(
             let log = if logging {
                 let mut log = pool.take(cache, bp);
                 match log.record_region(cpu, skip) {
-                    Ok(()) => {
-                        // Seal the memory-side spans over the scan
-                        // window on the leader's clock — this work
-                        // overlaps the follower's detailed simulation. The
-                        // branch side needs the follower's GHR snapshot,
-                        // so it seals over there.
-                        if cache {
-                            log.seal_mem_window(&geom, pct);
-                        }
-                        Some(log)
-                    }
+                    Ok(()) => Some(log),
                     Err(e) => {
                         leader_out.phases.cold += t.elapsed();
                         pool.put(log);

@@ -12,18 +12,19 @@
 //!
 //! **Replay is windows-outer, configs-inner** (DESIGN.md §16). Per
 //! captured window the replay leader builds each *distinct* reconstruction
-//! index once into a pooled arena — memory spans keyed by the cache-set
-//! geometry and sealed over the widest scan budget sharing it, branch
-//! columns by `(PHT bits, BTB entries, scan pct, start GHR)` — and every
-//! config threads a borrowed [`WindowIndex`] view of the
-//! shared, sealed build to the common [`detailed_window`]. A 20-config
-//! L1D×GHR grid therefore builds ~5 memory and ~4 branch indexes per
-//! window instead of 20 of each. The sharing is sound because each
-//! consumer checks only its own side's geometry (see
-//! `reverse::mem_index_for` and `reverse::branch_index_for`), and
-//! because the GHR entering a window is a shift register of *functional*
-//! branch outcomes — configs with equal history width hold bit-equal GHRs
-//! at every window boundary.
+//! structure once into a pooled arena — a cache-level plan per
+//! `(level, sets, line shift, assoc)`, sealed over the widest scan budget
+//! sharing it, and branch columns per `(PHT bits, BTB entries, scan pct,
+//! start GHR)` — and every config threads a borrowed [`WindowIndex`] view
+//! of the shared, sealed builds to the common [`detailed_window`], where
+//! reconstructing its caches only *applies* the plans. A 20-config
+//! L1D×GHR grid therefore builds 1 L1I, ~5 L1D, 1 L2 plan and ~4 branch
+//! indexes per window instead of 20 of each. The sharing is sound because
+//! each consumer checks only its own level's key or branch geometry (see
+//! `reverse::plan_for` and `reverse::branch_index_for`), and because the
+//! GHR entering a window is a shift register of *functional* branch
+//! outcomes — configs with equal history width hold bit-equal GHRs at
+//! every window boundary.
 //!
 //! **State restore is journaled, not copied.** The first N−1 configs at a
 //! window run inside a [`Cpu::begin_journal`] episode and
@@ -68,7 +69,7 @@ use rsr_cache::MemHierarchy;
 use rsr_func::Cpu;
 
 use crate::fault::FaultInjector;
-use crate::log::{pool_bound, LogPool, ReconGeometry, ReconIndex, SkipLog};
+use crate::log::{pool_bound, LevelPlan, LogPool, PlanKey, ReconGeometry, ReconIndex, SkipLog};
 use crate::policy::Pct;
 use crate::sampler::{detailed_window, policy_decouples, WindowIndex};
 use crate::shard::{check_deadline, run_sharded_with, GroupCtx, RunGuards};
@@ -135,11 +136,14 @@ pub struct SweepOutcome {
     /// Shard-group retries the fused pass needed (see
     /// [`crate::RunSpec::max_shard_retries`]).
     pub shard_retries: u64,
-    /// Reconstruction indexes actually built across the sweep.
+    /// Reconstruction structures actually built across the sweep: one per
+    /// distinct cache-level plan (L1I, L1D, L2) and one per distinct
+    /// branch index, per reconstructed window.
     pub index_builds: u64,
-    /// Per-config index requests served by an already-built index in the
-    /// same window's memo instead of a rebuild. `builds + shared` equals
-    /// what the pre-memo engine would have built.
+    /// Per-config requests for those structures (three plans and one
+    /// branch index per reconstructed window) served by one already built
+    /// in the same window's memo instead of a rebuild. `builds + shared`
+    /// equals what an unshared engine would have built.
     pub index_builds_shared: u64,
     /// Total journal-undo traffic (old bytes written back, plus one
     /// register-file snapshot per episode) the replays paid to rewind the
@@ -328,7 +332,7 @@ impl<'a> SweepSpec<'a> {
             pipeline_depth: 1,
         };
         let details: Vec<&DetailSpec> = self.configs.iter().map(|(_, d)| d).collect();
-        let mem_pcts = widest_mem_pcts(&details);
+        let plan_pcts = widest_plan_pcts(&details);
 
         // ---- fused pass: capture each shard once, replay it N ways -----
         let body = |cpu: &mut Cpu, ctx: GroupCtx<'_>| {
@@ -389,7 +393,7 @@ impl<'a> SweepSpec<'a> {
                 let replay = replay_windows(
                     &mut windows,
                     &details,
-                    &mem_pcts,
+                    &plan_pcts,
                     replay_workers,
                     &mut scratch,
                     cpu,
@@ -486,14 +490,6 @@ fn reverse_pct(policy: WarmupPolicy) -> Pct {
     }
 }
 
-/// The memory-side memo key: exactly the fields
-/// `reverse::geom_matches_hier` checks before walking a sealed index, so
-/// two configs with equal keys can share one build regardless of their
-/// predictor geometry. The key carries no budget: each key is sealed over
-/// the widest budget among the configs sharing it ([`widest_mem_pcts`]),
-/// and that window serves every narrower scan.
-type MemKey = (usize, u32, usize, u32, usize, u32);
-
 /// The branch-side memo key: exactly the fields
 /// `reverse::branch_index_for` checks — PHT width, BTB entries, scan
 /// budget, and the GHR entering the window. The GHR is config-independent
@@ -502,52 +498,61 @@ type MemKey = (usize, u32, usize, u32, usize, u32);
 /// every config sharing `ghr_bits`.
 type BrKey = (u32, usize, Pct, u64);
 
-fn mem_key(g: &ReconGeometry) -> MemKey {
-    (g.l1i_sets, g.l1i_line_shift, g.l1d_sets, g.l1d_line_shift, g.l2_sets, g.l2_line_shift)
+/// Per config and level, the budget its plan is sealed over: the widest
+/// scan budget among the configs whose plan for that level has the same
+/// [`PlanKey`] (the key `reverse::plan_for` checks, so equal keys share
+/// one build whatever else differs), so one seal per window serves all of
+/// them through the prefix rule. The budgets are static per sweep, so
+/// this runs once.
+fn widest_plan_pcts(details: &[&DetailSpec]) -> Vec<[Pct; 3]> {
+    let keys: Vec<[PlanKey; 3]> =
+        details.iter().map(|d| ReconGeometry::of_machine(&d.machine).plan_keys()).collect();
+    let widest = |key: &PlanKey| {
+        let sharing = keys.iter().zip(details).filter(|(k, _)| k.contains(key));
+        sharing.map(|(_, d)| reverse_pct(d.policy)).max().unwrap_or(Pct::new(100))
+    };
+    keys.iter().map(|ks| ks.each_ref().map(widest)).collect()
 }
 
-/// Per config, the budget its memory index is sealed over: the widest
-/// scan budget among the configs sharing its [`MemKey`], so one seal per
-/// window serves all of them. The budgets are static per sweep, so this
-/// runs once.
-fn widest_mem_pcts(details: &[&DetailSpec]) -> Vec<Pct> {
-    let keys: Vec<MemKey> =
-        details.iter().map(|d| mem_key(&ReconGeometry::of_machine(&d.machine))).collect();
-    keys.iter()
-        .map(|key| {
-            let sharing = keys.iter().zip(details).filter(|(k, _)| *k == key);
-            sharing.map(|(_, d)| reverse_pct(d.policy)).max().unwrap_or(Pct::new(100))
-        })
-        .collect()
-}
-
-/// One config's per-window index assignment, produced by [`plan_window`]:
-/// arena slots for the sides this config reconstructs, plus the GHR its
-/// predictor held entering the window (the branch-key seed).
+/// One config's per-window arena slots, produced by [`plan_window`]: the
+/// plans (L1I, L1D, L2) and branch index for the sides this config
+/// reconstructs, plus the GHR its predictor held entering the window (the
+/// branch-key seed).
 #[derive(Clone, Copy, Default)]
-struct WindowPlan {
-    mem: Option<u32>,
+struct WindowSlots {
+    mem: [Option<u32>; 3],
     br: Option<u32>,
     ghr: u64,
 }
 
-/// A pooled arena of reconstruction indexes. Per window the replay leader
-/// takes one slot per *distinct* memo key and builds into it; slots keep
-/// their column allocations across windows and shards
-/// ([`ReconIndex::retarget`] re-keys without freeing), so steady-state
-/// index building allocates nothing.
+/// A pooled arena of reconstruction structures. Per window the replay
+/// leader takes one slot per *distinct* memo key and builds into it;
+/// slots keep their column allocations across windows and shards
+/// ([`LevelPlan::retarget`] and [`ReconIndex::retarget`] re-key without
+/// freeing), so steady-state building allocates nothing.
 #[derive(Default)]
 struct IndexArena {
-    slots: Vec<ReconIndex>,
+    plans: Vec<LevelPlan>,
+    branch: Vec<ReconIndex>,
 }
 
 impl IndexArena {
-    /// Slot `i`, grown on demand and re-keyed for `geom`.
-    fn slot(&mut self, i: usize, geom: ReconGeometry) -> &mut ReconIndex {
-        while self.slots.len() <= i {
-            self.slots.push(ReconIndex::new(geom));
+    /// Plan slot `i`, grown on demand and re-keyed for `key`.
+    fn plan(&mut self, i: usize, key: PlanKey) -> &mut LevelPlan {
+        while self.plans.len() <= i {
+            self.plans.push(LevelPlan::new(key));
         }
-        let ix = &mut self.slots[i];
+        let plan = &mut self.plans[i];
+        plan.retarget(key);
+        plan
+    }
+
+    /// Branch slot `i`, grown on demand and re-keyed for `geom`.
+    fn branch(&mut self, i: usize, geom: ReconGeometry) -> &mut ReconIndex {
+        while self.branch.len() <= i {
+            self.branch.push(ReconIndex::new(geom));
+        }
+        let ix = &mut self.branch[i];
         ix.retarget(geom);
         ix
     }
@@ -558,9 +563,9 @@ impl IndexArena {
 /// fewer distinct keys.
 #[derive(Default)]
 struct MemoScratch {
-    mem: Vec<(MemKey, u32)>,
+    mem: Vec<(PlanKey, u32)>,
     br: Vec<(BrKey, u32)>,
-    plans: Vec<WindowPlan>,
+    slots: Vec<WindowSlots>,
 }
 
 /// One config's replay state, owned by one chunk for a whole shard: the
@@ -571,9 +576,9 @@ struct ConfigReplay<'d> {
     detail: &'d DetailSpec,
     geom: ReconGeometry,
     pct: Pct,
-    /// Budget the shared memory index for `geom` is sealed over
-    /// ([`widest_mem_pcts`]), at least `pct`.
-    mem_pct: Pct,
+    /// Budget each shared plan is sealed over ([`widest_plan_pcts`]), at
+    /// least `pct`.
+    plan_pcts: [Pct; 3],
     want_cache: bool,
     want_bp: bool,
     hier: MemHierarchy,
@@ -583,13 +588,13 @@ struct ConfigReplay<'d> {
 }
 
 impl<'d> ConfigReplay<'d> {
-    fn new(detail: &'d DetailSpec, mem_pct: Pct) -> ConfigReplay<'d> {
+    fn new(detail: &'d DetailSpec, plan_pcts: [Pct; 3]) -> ConfigReplay<'d> {
         let (want_cache, want_bp) = logging_signature(detail.policy);
         ConfigReplay {
             detail,
             geom: ReconGeometry::of_machine(&detail.machine),
             pct: reverse_pct(detail.policy),
-            mem_pct,
+            plan_pcts,
             want_cache,
             want_bp,
             hier: MemHierarchy::new(detail.machine.hier.clone()),
@@ -629,10 +634,10 @@ struct ShardReplay {
     restore_bytes: u64,
 }
 
-/// Builds (or shares) this window's reconstruction indexes and fills one
-/// [`WindowPlan`] per config. Build time is charged to the warm phase of
-/// the config that *triggered* the build; memo hits cost nothing, which
-/// is the point.
+/// Builds (or shares) this window's reconstruction plans and branch
+/// indexes and fills one [`WindowSlots`] per config. Build time is charged
+/// to the warm phase of the config that *triggered* the build; memo hits
+/// cost nothing, which is the point.
 fn plan_window(
     log: &SkipLog,
     chunks: &mut [ChunkState<'_>],
@@ -643,58 +648,56 @@ fn plan_window(
 ) {
     memo.mem.clear();
     memo.br.clear();
-    let mut used = 0usize;
+    let n = log.mem_len();
     let mut c = 0usize;
     for ch in chunks.iter_mut() {
         for st in ch.configs.iter_mut() {
             let ghr = st.pred.gshare.ghr();
-            let mut plan = WindowPlan { mem: None, br: None, ghr };
+            let mut slots = WindowSlots { mem: [None; 3], br: None, ghr };
             if st.want_cache {
-                let key = mem_key(&st.geom);
-                plan.mem = Some(match memo.mem.iter().find(|(k, _)| *k == key) {
-                    Some(&(_, slot)) => {
-                        *shared += 1;
-                        slot
-                    }
-                    None => {
-                        let slot = used as u32;
-                        used += 1;
-                        let t = Instant::now();
-                        let n = log.mem_len();
-                        let from = n - st.mem_pct.of(n);
-                        log.build_mem_index_into(&st.geom, from, arena.slot(used - 1, st.geom));
-                        st.outcome.phases.warm += t.elapsed();
-                        *builds += 1;
-                        memo.mem.push((key, slot));
-                        slot
-                    }
-                });
+                let keys = st.geom.plan_keys();
+                for ((slot, key), pct) in slots.mem.iter_mut().zip(keys).zip(st.plan_pcts) {
+                    *slot = Some(match memo.mem.iter().find(|(k, _)| *k == key) {
+                        Some(&(_, i)) => {
+                            *shared += 1;
+                            i
+                        }
+                        None => {
+                            let i = memo.mem.len();
+                            let t = Instant::now();
+                            log.build_level_plan_into(n - pct.of(n), arena.plan(i, key));
+                            st.outcome.phases.warm += t.elapsed();
+                            *builds += 1;
+                            memo.mem.push((key, i as u32));
+                            i as u32
+                        }
+                    });
+                }
             }
             if st.want_bp {
                 let key = (st.geom.ghr_bits, st.geom.btb_entries, st.pct, ghr);
-                plan.br = Some(match memo.br.iter().find(|(k, _)| *k == key) {
-                    Some(&(_, slot)) => {
+                slots.br = Some(match memo.br.iter().find(|(k, _)| *k == key) {
+                    Some(&(_, i)) => {
                         *shared += 1;
-                        slot
+                        i
                     }
                     None => {
-                        let slot = used as u32;
-                        used += 1;
+                        let i = memo.br.len();
                         let t = Instant::now();
                         log.build_branch_index_into(
                             &st.geom,
                             ghr,
                             st.pct,
-                            arena.slot(used - 1, st.geom),
+                            arena.branch(i, st.geom),
                         );
                         st.outcome.phases.warm += t.elapsed();
                         *builds += 1;
-                        memo.br.push((key, slot));
-                        slot
+                        memo.br.push((key, i as u32));
+                        i as u32
                     }
                 });
             }
-            memo.plans[c] = plan;
+            memo.slots[c] = slots;
             c += 1;
         }
     }
@@ -702,14 +705,14 @@ fn plan_window(
 
 /// One config's replay of one window — the single [`detailed_window`]
 /// call site of the sweep engine, threading the window's shared log and
-/// this config's planned index view.
+/// this config's view of the shared plans and branch index.
 fn replay_one(
     st: &mut ConfigReplay<'_>,
     skip: u64,
     len: u64,
     log: Option<&Arc<SkipLog>>,
     cpu: &mut Cpu,
-    plan: WindowPlan,
+    slots: WindowSlots,
     arena: &IndexArena,
 ) -> Result<(), SimError> {
     st.outcome.skipped_insts += skip;
@@ -717,12 +720,12 @@ fn replay_one(
         let view = if log.truncated() {
             // Degraded cluster: `detailed_window` counts it and skips
             // reconstruction; the view is never read.
-            WindowIndex { mem: None, br: None, ghr_at_start: 0 }
+            WindowIndex { mem: [None; 3], br: None, ghr_at_start: 0 }
         } else {
             WindowIndex {
-                mem: plan.mem.map(|i| &arena.slots[i as usize]),
-                br: plan.br.map(|i| &arena.slots[i as usize]),
-                ghr_at_start: plan.ghr,
+                mem: slots.mem.map(|i| i.map(|i| &arena.plans[i as usize])),
+                br: slots.br.map(|i| &arena.branch[i as usize]),
+                ghr_at_start: slots.ghr,
             }
         };
         (&**log, view)
@@ -752,7 +755,7 @@ fn replay_chunk_window(
     len: u64,
     log: Option<&Arc<SkipLog>>,
     cpu: &mut Cpu,
-    plans: &[WindowPlan],
+    slots: &[WindowSlots],
     first: usize,
     arena: &IndexArena,
 ) -> Result<(), SimError> {
@@ -763,7 +766,7 @@ fn replay_chunk_window(
         if journal {
             cpu.begin_journal();
         }
-        let r = replay_one(st, skip, len, log, cpu, plans[first + k], arena);
+        let r = replay_one(st, skip, len, log, cpu, slots[first + k], arena);
         if journal {
             // Undo even on error: the rewind is cheap and leaves the
             // window coherent for whatever supervision does next.
@@ -776,14 +779,14 @@ fn replay_chunk_window(
 }
 
 /// Replays one captured shard through every config: windows-outer, with
-/// per-window index planning and either the serial in-place path (one
+/// per-window plan and index sharing and either the serial in-place path (one
 /// chunk, zero clones, journal-rewind between configs) or the parallel
 /// fan-out (one scoped worker per chunk, one `clone_from` per worker per
 /// window, journal-rewind within each chunk).
 fn replay_windows<'d>(
     windows: &mut [SealedWindow],
     details: &[&'d DetailSpec],
-    mem_pcts: &[Pct],
+    plan_pcts: &[[Pct; 3]],
     workers: usize,
     scratch: &mut ReplayScratch,
     group_cpu: &Cpu,
@@ -805,7 +808,7 @@ fn replay_windows<'d>(
             let mut ch = ChunkState {
                 configs: details[at..at + take]
                     .iter()
-                    .zip(&mem_pcts[at..at + take])
+                    .zip(&plan_pcts[at..at + take])
                     .map(|(d, &p)| ConfigReplay::new(d, p))
                     .collect(),
                 hot_cpu: None,
@@ -818,10 +821,10 @@ fn replay_windows<'d>(
             at += take;
         }
     }
-    scratch.memo.plans.resize(n, WindowPlan::default());
+    scratch.memo.slots.resize(n, WindowSlots::default());
 
     for w in windows.iter_mut() {
-        // -- leader: build each distinct index once for this window --
+        // -- leader: build each distinct plan and index once for this window --
         if let Some(log) = w.log.as_deref().filter(|l| !l.truncated()) {
             plan_window(
                 log,
@@ -845,7 +848,7 @@ fn replay_windows<'d>(
                 w.len,
                 w.log.as_ref(),
                 &mut w.cpu,
-                &scratch.memo.plans,
+                &scratch.memo.slots,
                 0,
                 &scratch.arena,
             )?;
@@ -855,7 +858,7 @@ fn replay_windows<'d>(
             // own configs. Errors resolve in chunk order so the failing
             // config is deterministic.
             let arena = &scratch.arena;
-            let plans = &scratch.memo.plans[..];
+            let slots = &scratch.memo.slots[..];
             let snap = &w.cpu;
             let log = w.log.as_ref();
             let (skip, len) = (w.skip, w.len);
@@ -883,7 +886,7 @@ fn replay_windows<'d>(
                             len,
                             log,
                             cpu,
-                            plans,
+                            slots,
                             f,
                             arena,
                         )
@@ -900,7 +903,7 @@ fn replay_windows<'d>(
                             len,
                             log,
                             cpu,
-                            plans,
+                            slots,
                             0,
                             arena,
                         )

@@ -37,7 +37,7 @@ impl Line {
 ///
 /// Same access and reconstruction semantics as [`rsr_cache::Cache`], same
 /// statistics, same `dump_set`/`set_tags_mru_order` observers. It omits the
-/// batched span walk (`Cache::reconstruct_span`), which is pinned against
+/// batched plan apply (`Cache::reconstruct_plan`), which is pinned against
 /// the sequential path by its own tests.
 #[derive(Clone, Debug)]
 pub struct RefCache {

@@ -7,9 +7,10 @@
 //! predictor state. Inputs cover arbitrary record streams (ext-spill
 //! records, over-budget truncated logs, logs mutated after sealing), each
 //! presented sealed for the machine, unsealed, sealed for another
-//! geometry, sealed under another scan budget, and memory-sealed over a
-//! wider or a narrower window than the scan's: the public entry points
-//! must give the sealed result on every one.
+//! geometry, sealed for another associativity, sealed under another scan
+//! budget, and memory-sealed over a wider or a narrower window than the
+//! scan's: the public entry points must give the sealed result on every
+//! one.
 
 use proptest::prelude::*;
 use rsr_branch::{PredCtrlKind, Predictor};
@@ -87,9 +88,12 @@ fn workload_stream(bench: Benchmark, n: u64) -> Vec<Retired> {
 /// The presentations of one log the public entry points must reconstruct
 /// identically, the sealed production input first: sealed for `machine`
 /// at `pct`, as given (unsealed, or carrying a stale seal), sealed for
-/// another geometry on both sides, sealed under another scan budget,
-/// memory-sealed over the whole log (a wider window, borrowed), and
-/// memory-sealed for a narrower budget (reindexed).
+/// another geometry on both sides, memory-sealed for another L2
+/// associativity at the same set count and line size (a 2 MiB 16-way and
+/// a 128 KiB direct-mapped L2 for the paper's 1 MiB 8-way; re-planned), sealed
+/// under another scan budget, memory-sealed over the whole log (a wider
+/// window, borrowed), and memory-sealed for a narrower budget
+/// (re-planned).
 fn log_variants(machine: &MachineConfig, log: &SkipLog, pct: Pct) -> Vec<(&'static str, SkipLog)> {
     let geom = ReconGeometry::of_machine(machine);
     let other_geom = ReconGeometry {
@@ -100,6 +104,19 @@ fn log_variants(machine: &MachineConfig, log: &SkipLog, pct: Pct) -> Vec<(&'stat
         btb_entries: geom.btb_entries * 2,
         ..geom
     };
+    // The L2 at the same set count and line size, at twice the
+    // associativity and direct-mapped. These test streams rarely give an
+    // L2 set more than a few distinct blocks, so only the direct-mapped
+    // plan is sure to differ from the machine's.
+    let l2_assoc = |num: u64, den: u64| {
+        let mut m = machine.clone();
+        m.hier.l2.size_bytes = m.hier.l2.size_bytes * num / den;
+        m.hier.l2.assoc = m.hier.l2.assoc * num as usize / den as usize;
+        let g = ReconGeometry::of_machine(&m);
+        assert_eq!(g.l2_sets, geom.l2_sets, "same sets, another associativity");
+        g
+    };
+    let (wider_assoc, narrower_assoc) = (l2_assoc(2, 1), l2_assoc(1, 8));
     let other_pct = if pct == Pct::new(100) { Pct::new(50) } else { Pct::new(100) };
     let narrower_pct = if pct > Pct::new(20) { Pct::new(20) } else { Pct::new(1) };
     let sealed_with = |mem: &ReconGeometry, mem_pct: Pct, br: &ReconGeometry, br_pct: Pct| {
@@ -115,6 +132,8 @@ fn log_variants(machine: &MachineConfig, log: &SkipLog, pct: Pct) -> Vec<(&'stat
         ("sealed", sealed_with(&geom, pct, &geom, pct)),
         ("as given", log.clone()),
         ("wrong geometry", sealed_with(&other_geom, pct, &other_geom, pct)),
+        ("sealed for a wider associativity", sealed_with(&wider_assoc, pct, &geom, pct)),
+        ("sealed for a narrower associativity", sealed_with(&narrower_assoc, pct, &geom, pct)),
         ("wrong pct", sealed_with(&geom, other_pct, &geom, other_pct)),
         ("memory sealed over the whole log", whole_mem),
         ("sealed for a narrower budget", sealed_with(&geom, narrower_pct, &geom, pct)),

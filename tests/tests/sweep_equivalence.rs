@@ -173,13 +173,20 @@ fn replay_fanout_is_bit_identical_at_any_width() {
     }
 }
 
+/// Windows the configs of a sweep reconstructed: clusters that did not
+/// degrade (every config shares one capture, so the first speaks for all).
+fn reconstructed_windows(out: &SweepOutcome) -> u64 {
+    let first = &out.configs[0].outcome;
+    (first.clusters.values().len() - first.clusters_degraded as usize) as u64
+}
+
 #[test]
 fn one_geometry_at_two_budgets_shares_one_memory_seal() {
     // Two configs on the same machine at 20 % and 100 %: the memo seals
-    // that cache geometry once per window over the wider budget, and the
-    // 20 % config borrows the 100 % window. In either registration order
-    // both must match their standalone runs, with the memory index built
-    // once per window rather than once per budget.
+    // each cache level's plan once per window over the wider budget, and
+    // the 20 % config applies the prefix of the 100 % plans. In either
+    // registration order both must match their standalone runs, with each
+    // level planned once per window rather than once per budget.
     let m = machine();
     let bases = [standalone(&m, rsr(20), 1, 1), standalone(&m, rsr(100), 1, 1)];
     for order in [[0usize, 1], [1, 0]] {
@@ -190,15 +197,36 @@ fn one_geometry_at_two_budgets_shares_one_memory_seal() {
         for (&c, got) in order.iter().zip(&out.configs) {
             assert_equivalent(&bases[c], &got.outcome, &format!("{} in order {order:?}", got.name));
         }
-        // Per reconstructed window: one memory build shared by both
-        // configs, and one branch build per budget (the flush last-writer
-        // bits depend on it).
-        let first = &out.configs[0].outcome;
-        let windows = (first.clusters.values().len() - first.clusters_degraded as usize) as u64;
+        // Per reconstructed window: three plans (L1I, L1D, L2) built by
+        // the first config and shared by the second, and one branch build
+        // per budget (the flush last-writer bits depend on it).
+        let windows = reconstructed_windows(&out);
         assert!(windows > 0, "the scenario must reconstruct");
-        assert_eq!(out.index_builds_shared, windows, "order {order:?}: one shared memory seal");
-        assert_eq!(out.index_builds, 3 * windows, "order {order:?}: 1 memory + 2 branch builds");
+        assert_eq!(out.index_builds_shared, 3 * windows, "order {order:?}: 3 shared plans");
+        assert_eq!(out.index_builds, 5 * windows, "order {order:?}: 3 plans + 2 branch builds");
     }
+}
+
+#[test]
+fn configs_differing_in_one_level_share_the_other_plans() {
+    // Three machines that differ only in L1D size: each is bit-identical
+    // to its standalone run, and per window the memo builds one L1I, one
+    // L1D per machine and one L2 plan, plus one branch index (same
+    // predictor, same budget, same start GHR).
+    let machines = [variant(8, 12), variant(32, 12), variant(128, 12)];
+    let sweep = machines.iter().enumerate().fold(SweepSpec::new(cold()), |s, (i, m)| {
+        s.config(format!("l1d{i}"), DetailSpec::new(m).policy(rsr(20)))
+    });
+    let out = sweep.run().expect("sweep completes");
+    for (m, got) in machines.iter().zip(&out.configs) {
+        assert_equivalent(&standalone(m, rsr(20), 1, 1), &got.outcome, &got.name);
+    }
+    let windows = reconstructed_windows(&out);
+    assert!(windows > 0, "the scenario must reconstruct");
+    // 1 L1I + 3 L1D + 1 L2 plans and 1 branch index built; of the 3 x 4
+    // requests, the other 6 are shared.
+    assert_eq!(out.index_builds, (1 + 3 + 1 + 1) * windows, "builds per window");
+    assert_eq!(out.index_builds_shared, (12 - 6) * windows, "shared per window");
 }
 
 #[test]
